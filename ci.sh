@@ -278,6 +278,41 @@ kill -9 "$follower_pid"
 wait "$follower_pid" || true
 rm -rf "$repl_tmp"
 
+# Group-commit smoke: a durable 2-shard daemon (default --fsync-every 1)
+# acks a pipelined script over TCP, and its own fsync counter must show the
+# egress barrier committing whole request windows — fewer fsyncs than
+# journal appends.
+gc_tmp=$(mktemp -d)
+./target/release/trout simulate --jobs 80 --seed 11 --out "$gc_tmp/trace.csv"
+./target/release/trout events --trace "$gc_tmp/trace.csv" --predict-every 4 \
+    --out "$gc_tmp/events.ndjson"
+head -n -2 "$gc_tmp/events.ndjson" > "$gc_tmp/feed.ndjson" # no shutdown
+nfeed=$(wc -l < "$gc_tmp/feed.ndjson")
+./target/release/trout serve --bootstrap 300 --seed 7 --shards 2 \
+    --listen 127.0.0.1:29474 --state-dir "$gc_tmp/state" &
+gc_pid=$!
+for _ in $(seq 1 100); do
+    ./target/release/trout metrics --connect 127.0.0.1:29474 \
+        > "$gc_tmp/metrics.json" 2> /dev/null && break
+    sleep 0.1
+done
+bash -c "exec 3<>/dev/tcp/127.0.0.1/29474
+cat '$gc_tmp/feed.ndjson' >&3
+head -n $nfeed <&3 > '$gc_tmp/responses.ndjson'"
+test "$(wc -l < "$gc_tmp/responses.ndjson")" -eq "$nfeed"
+if grep -q '"ok":false' "$gc_tmp/responses.ndjson"; then
+    echo "group-commit smoke: unexpected error responses" >&2
+    exit 1
+fi
+./target/release/trout metrics --connect 127.0.0.1:29474 > "$gc_tmp/metrics.json"
+appends=$(grep -o '"journal_appends":[0-9]*' "$gc_tmp/metrics.json" | cut -d: -f2)
+fsyncs=$(grep -o '"journal_fsyncs":[0-9]*' "$gc_tmp/metrics.json" | cut -d: -f2)
+test "$appends" -gt 0
+test "$fsyncs" -lt "$appends"
+kill -9 "$gc_pid"
+wait "$gc_pid" || true
+rm -rf "$gc_tmp"
+
 # Compaction smoke: --compact keeps the on-disk journal bounded (one
 # journal_base control line plus at most snapshot-every entries) while the
 # SIGKILL-halfway recovery drill stays byte-identical to an uninterrupted

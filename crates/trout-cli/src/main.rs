@@ -94,7 +94,10 @@ SUBCOMMANDS:
               [--shards N] [--batch N] [--refit-every N]
               [--state-dir DIR [--recover] [--snapshot-every N]
                [--fsync-every N] [--compact]]   crash-safe journaling +
-              recovery; --compact truncates the journal behind each snapshot
+              recovery; --fsync-every 1 (default) fsyncs each dirty shard
+              once per drained request window before its acks leave, N
+              every N appends, 0 never; --compact truncates the journal
+              behind each snapshot
               [--replicate-listen ADDR]   leader: stream journals to followers
               [--follow ADDR]   hot standby: replay the leader's stream,
               serve read-only, promote via {{\"event\":\"promote\"}}

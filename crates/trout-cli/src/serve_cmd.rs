@@ -54,10 +54,12 @@ use crate::commands::{load_model, load_trace};
 /// the flag repeated to reproduce served answers.
 ///
 /// With `--state-dir`, every accepted event is appended to a write-ahead
-/// journal (fsynced per `--fsync-every`, default 1 = durable before each
-/// acknowledgment) and a snapshot is written every `--snapshot-every`
-/// events (default 1024; 0 = journal only). Each shard journals into its
-/// own `shard-NNN/` subdirectory. After a crash, restarting with the
+/// journal and a snapshot is written every `--snapshot-every`
+/// events (default 1024; 0 = journal only). `--fsync-every 1` (the
+/// default) is durable before ack by group commit: one fsync per dirty
+/// shard per drained request window, right before the responses leave.
+/// `--fsync-every N` fsyncs every N appends without holding acks (0 =
+/// never). Each shard journals into its own `shard-NNN/` subdirectory. After a crash, restarting with the
 /// **same engine arguments** (including `--shards`) plus `--recover`
 /// restores the exact state the crashed daemon had acknowledged.
 /// `--compact` truncates each journal after the snapshot that covers it,

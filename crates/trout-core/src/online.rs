@@ -45,10 +45,11 @@ pub struct OnlineConfig {
     pub lr_scale: f32,
     /// Sliding window: at most this many most-recent rows per update.
     pub window: usize,
-    /// Serve-daemon journal fsync policy: `sync_data` the write-ahead event
-    /// journal every N appends (1 = every accepted event is durable before
-    /// it is acknowledged; 0 = never fsync, leave durability to the OS page
-    /// cache). Lives here because it is part of the same online-operation
+    /// Serve-daemon journal fsync policy. 1 = every accepted event is
+    /// durable before it is acknowledged, by group commit (one `sync_data`
+    /// per dirty journal per drained request window); N > 1 = `sync_data`
+    /// every N appends without holding acks; 0 = never fsync, leave
+    /// durability to the OS page cache. Lives here because it is part of the same online-operation
     /// policy surface the daemon is configured with; the journal itself is
     /// in `trout-serve`.
     pub journal_fsync_every: u64,

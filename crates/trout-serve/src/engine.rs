@@ -405,8 +405,9 @@ impl ServeEngine {
 
     /// Applies a `submit`: predict the job's runtime with the forest, then
     /// register it with the incremental index. With a state dir attached the
-    /// event is journaled (and made durable per the fsync policy) *first* —
-    /// if the append fails the event is rejected un-applied.
+    /// event is journaled *first* (durable at the transport's next group
+    /// commit, before its ack leaves) — if the append fails the event is
+    /// rejected un-applied.
     pub fn apply_submit(&mut self, rec: JobRecord) -> Result<u64, TroutError> {
         self.journal_event(|| submit_line(&rec))?;
         let id = rec.id;
@@ -650,7 +651,8 @@ impl ServeEngine {
         } else {
             RecoveryReport::default()
         };
-        let mut journal = Journal::open(&journal_path, self.online_cfg.journal_fsync_every)?;
+        let mut journal = Journal::open(&journal_path, self.online_cfg.journal_fsync_every)?
+            .with_fsync_counter(self.metrics.journal_fsyncs_total.clone());
         if journal.appends() < report.snapshot_journal_pos {
             // The journal is empty behind the snapshot (power loss under
             // `--fsync-every 0`, or a torn-to-empty first append): the
@@ -693,6 +695,13 @@ impl ServeEngine {
             .as_ref()
             .map(|d| d.journal.appends())
             .unwrap_or(0)
+    }
+
+    /// The attached journal's synced watermark ([`Journal::synced`]):
+    /// entries below it may be acknowledged and replicated. `None` without
+    /// a state dir.
+    pub fn journal_synced(&self) -> Option<u64> {
+        self.durability.as_ref().map(|d| d.journal.synced())
     }
 
     /// Compaction base of the attached journal (0 without a state dir or
@@ -746,9 +755,20 @@ impl ServeEngine {
         Ok(())
     }
 
-    /// Appends one event line to the journal (policy-fsynced) before the
-    /// caller applies it. No-op without a state dir or during replay; the
-    /// closure keeps serialization off the no-journal fast path.
+    /// Group commit ([`Journal::commit`]): makes every journaled event
+    /// durable per the fsync policy, so the responses acknowledging them may
+    /// leave. No-op without a state dir.
+    pub fn commit_journal(&mut self) -> Result<(), TroutError> {
+        if let Some(d) = self.durability.as_mut() {
+            d.journal.commit()?;
+        }
+        Ok(())
+    }
+
+    /// Appends one event line to the journal (durable at the next
+    /// [`commit_journal`](Self::commit_journal)) before the caller applies
+    /// it. No-op without a state dir or during replay; the closure keeps
+    /// serialization off the no-journal fast path.
     fn journal_event(&mut self, line: impl FnOnce() -> String) -> Result<(), TroutError> {
         if self.replaying {
             return Ok(());

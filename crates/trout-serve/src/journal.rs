@@ -12,18 +12,27 @@
 //! with the drift monitor. Skipping them would make a recovered engine
 //! diverge from the uninterrupted one at the first refit or drift join.
 //!
-//! Durability policy: [`OnlineConfig::journal_fsync_every`] appends between
-//! `sync_data` calls. `1` means every accepted event is durable before its
-//! ack even across power loss. `0` means appends are never explicitly
-//! fsynced: a *process* crash loses nothing (the written bytes live in the
-//! OS page cache, which survives the process), but power loss or a kernel
-//! panic can drop any append the kernel had not yet written back. File
-//! *creation* is stricter than appends either way: [`Journal::open`] fsyncs
-//! the parent directory after creating the file, otherwise power loss could
-//! unlink the whole journal regardless of the fsync policy. A crash
-//! mid-append leaves a torn final line; the record was never acknowledged,
-//! so both the reopen path and the recovery reader drop it
-//! ([`trout_std::fsio`]).
+//! Durability policy: [`OnlineConfig::journal_fsync_every`]. `1` means
+//! every accepted event is durable before its ack even across power loss,
+//! by **group commit**: [`Journal::append`] only writes, and the transports
+//! call [`Journal::commit`] (through `ShardSet::commit`) at their single
+//! egress point, right before response bytes leave. One `fdatasync` per
+//! dirty journal then covers every event of the drained request window, and
+//! no ack for an event leaves before the fsync that covers it.
+//! [`Journal::synced`] is the watermark that barrier (and the replication
+//! streamer, which ships only entries below it) reads. `N > 1` fsyncs on
+//! every N-th append and never holds an ack. `0` means appends are never
+//! explicitly fsynced: a *process* crash loses nothing (the written bytes
+//! live in the OS page cache, which survives the process), but power loss
+//! or a kernel panic can drop any append the kernel had not yet written
+//! back. File *creation* is stricter than appends either way:
+//! [`Journal::open`] fsyncs the parent directory after creating the file,
+//! otherwise power loss could unlink the whole journal regardless of the
+//! fsync policy. A crash mid-append leaves a torn final line; the record
+//! was never acknowledged, so both the reopen path and the recovery reader
+//! drop it ([`trout_std::fsio`]). A failed fsync is never retried: the
+//! kernel may already have dropped the dirty pages, so a retry could
+//! falsely succeed — every later [`Journal::sync`] fails too.
 //!
 //! **Compaction** keeps the file bounded: after a snapshot at watermark `P`,
 //! [`Journal::compact`] atomically rewrites the file as a single *base
@@ -39,6 +48,7 @@ use std::fs::File;
 use std::io::{self, BufRead};
 use std::path::{Path, PathBuf};
 
+use trout_obs::Counter;
 use trout_std::fsio::{append_line, atomic_write, open_append_complete, sync_dir};
 use trout_std::json::Json;
 
@@ -95,7 +105,18 @@ pub struct Journal {
     /// Absolute event count: `base` + complete entry lines in the file.
     /// The replay / replication watermark unit.
     appends: u64,
+    /// The synced watermark: entries below it are as durable as the policy
+    /// promises before an ack (see [`Journal::synced`]).
+    synced: u64,
+    /// Appends since the last `fdatasync`.
     since_sync: u64,
+    /// Set by a failed `fdatasync`; every later sync fails without retrying.
+    sync_failed: bool,
+    /// Reused record buffer: each append is one `write(2)` of line + `\n`.
+    record: Vec<u8>,
+    /// `fdatasync` calls made (shared with the engine's metrics registry
+    /// once [`Journal::with_fsync_counter`] attaches it).
+    fsyncs: Counter,
 }
 
 impl Journal {
@@ -120,8 +141,19 @@ impl Journal {
             fsync_every,
             base,
             appends: base + entries,
+            synced: base + entries,
             since_sync: 0,
+            sync_failed: false,
+            record: Vec::new(),
+            fsyncs: Counter::new(),
         })
+    }
+
+    /// Counts this journal's `fdatasync` calls into `counter` (the engine's
+    /// `serve.journal.fsyncs_total`) instead of a private counter.
+    pub fn with_fsync_counter(mut self, counter: Counter) -> Journal {
+        self.fsyncs = counter;
+        self
     }
 
     /// Absolute event count (compacted-away + still in the file).
@@ -152,7 +184,7 @@ impl Journal {
         self.file = file;
         self.base = pos;
         self.appends = pos;
-        self.since_sync = 0;
+        self.synced = pos;
         Ok(dropped)
     }
 
@@ -163,26 +195,62 @@ impl Journal {
         self.reset_base(self.appends)
     }
 
-    /// Appends one event line and applies the fsync policy. When this
-    /// returns `Ok`, the record is as durable as the policy promises — the
-    /// engine only acknowledges (or applies) the event afterwards.
+    /// Appends one event line as a single `write(2)`. Under `fsync_every`
+    /// 1 the record is not yet durable: the caller must [`Journal::commit`]
+    /// before acknowledging it (the transports' egress barrier does). Under
+    /// a relaxed policy the append is as durable as that policy promises
+    /// when this returns — fsynced on every N-th append for `N > 1`.
     pub fn append(&mut self, line: &str) -> io::Result<()> {
-        append_line(&mut self.file, line)?;
+        append_line(&mut self.file, &mut self.record, line)?;
         self.appends += 1;
         self.since_sync += 1;
-        if self.fsync_every > 0 && self.since_sync >= self.fsync_every {
+        if self.fsync_every != 1 {
+            if self.fsync_every > 1 && self.since_sync >= self.fsync_every {
+                self.sync()?;
+            }
+            self.synced = self.appends;
+        }
+        Ok(())
+    }
+
+    /// The synced watermark: every entry below this absolute position is as
+    /// durable as the fsync policy promises before an ack — fsynced under
+    /// `fsync_every` 1, merely written under a relaxed policy (whose acks
+    /// never wait for an fsync). Equals [`Journal::appends`] once
+    /// [`Journal::commit`] returns.
+    pub fn synced(&self) -> u64 {
+        self.synced
+    }
+
+    /// Group commit: makes every append durable per the policy — one
+    /// `fdatasync` covering all appends since the last one under
+    /// `fsync_every` 1, nothing otherwise.
+    pub fn commit(&mut self) -> io::Result<()> {
+        if self.synced < self.appends {
             self.sync()?;
         }
         Ok(())
     }
 
-    /// Forces any unsynced appends to disk (snapshots call this so their
-    /// watermark never points past the durable journal prefix).
+    /// Forces any unsynced appends to disk, whatever the policy (snapshots
+    /// call this so their watermark never points past the durable journal
+    /// prefix; so does a clean shutdown). A failed `fdatasync` latches:
+    /// this and every later call return an error.
     pub fn sync(&mut self) -> io::Result<()> {
+        if self.sync_failed {
+            return Err(io::Error::other(
+                "an earlier journal fsync failed; the unsynced tail cannot be trusted",
+            ));
+        }
         if self.since_sync > 0 {
-            self.file.sync_data()?;
+            self.fsyncs.inc();
+            if let Err(e) = self.file.sync_data() {
+                self.sync_failed = true;
+                return Err(e);
+            }
             self.since_sync = 0;
         }
+        self.synced = self.appends;
         Ok(())
     }
 }
@@ -259,6 +327,55 @@ mod tests {
             "reopen parses the base control line"
         );
         assert_eq!(read_base(&p).unwrap(), 5);
+        std::fs::remove_file(&p).unwrap();
+    }
+
+    #[test]
+    fn group_commit_syncs_once_per_window() {
+        let p = tmp("group");
+        let _ = std::fs::remove_file(&p);
+        let fsyncs = Counter::new();
+        let open = |policy| {
+            Journal::open(&p, policy)
+                .unwrap()
+                .with_fsync_counter(fsyncs.clone())
+        };
+        let mut j = open(1);
+        for k in 0..5 {
+            j.append(&format!("{{\"event\":\"end\",\"id\":{k},\"time\":1}}"))
+                .unwrap();
+        }
+        assert_eq!(
+            (j.appends(), j.synced(), fsyncs.get()),
+            (5, 0, 0),
+            "append only writes"
+        );
+        j.commit().unwrap();
+        assert_eq!(
+            (j.synced(), fsyncs.get()),
+            (5, 1),
+            "one fsync covers the window"
+        );
+        j.commit().unwrap();
+        assert_eq!(fsyncs.get(), 1, "a clean journal commits for free");
+        drop(j);
+        // A relaxed policy never waits for an fsync before the ack, so its
+        // appends count as synced as soon as they are written.
+        let mut j = open(0);
+        j.append("{\"event\":\"end\",\"id\":9,\"time\":1}").unwrap();
+        j.commit().unwrap();
+        assert_eq!((j.appends(), j.synced(), fsyncs.get()), (6, 6, 1));
+        let mut j = open(2);
+        j.append("{\"event\":\"end\",\"id\":10,\"time\":1}")
+            .unwrap();
+        assert_eq!((j.synced(), fsyncs.get()), (7, 1));
+        j.append("{\"event\":\"end\",\"id\":11,\"time\":1}")
+            .unwrap();
+        assert_eq!(
+            (j.synced(), fsyncs.get()),
+            (8, 2),
+            "every second append syncs"
+        );
         std::fs::remove_file(&p).unwrap();
     }
 

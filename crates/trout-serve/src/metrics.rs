@@ -74,6 +74,10 @@ pub struct ServeMetrics {
     /// Write-ahead journal: event lines appended (and made durable per the
     /// configured fsync policy) before acknowledgment.
     pub journal_appends_total: Counter,
+    /// Write-ahead journal: `fdatasync` calls. Under `--fsync-every 1`
+    /// group commit makes this one per dirty shard per drained request
+    /// window, so it stays below `journal_appends_total`.
+    pub journal_fsyncs_total: Counter,
     /// Engine snapshots written to the state dir.
     pub snapshots_total: Counter,
     /// Snapshot serialization + atomic-write latency, microseconds.
@@ -202,6 +206,7 @@ impl ServeMetrics {
             drift_mae_min: r.gauge("serve.drift.mae_min"),
             drift_within_2x: r.gauge("serve.drift.within_2x"),
             journal_appends_total: r.counter("serve.journal.appends_total"),
+            journal_fsyncs_total: r.counter("serve.journal.fsyncs_total"),
             snapshots_total: r.counter("serve.journal.snapshots_total"),
             snapshot_write_us: r.histogram("serve.journal.snapshot_write_us"),
             compactions_total: r.counter("serve.journal.compactions_total"),
@@ -328,6 +333,10 @@ impl ServeMetrics {
                     (
                         "journal_appends".into(),
                         Json::Int(self.journal_appends_total.get() as i128),
+                    ),
+                    (
+                        "journal_fsyncs".into(),
+                        Json::Int(self.journal_fsyncs_total.get() as i128),
                     ),
                     (
                         "snapshots".into(),

@@ -18,7 +18,9 @@
 //!   buffer), then flush queued predicts — no more complete lines means the
 //!   client is waiting, the same heuristic the blocking loop uses when its
 //!   `BufReader` runs dry.
-//! * **writable** → push the write buffer until `WouldBlock`.
+//! * **writable** → group-commit the journals ([`ShardSet::commit`], the
+//!   egress barrier every transport shares: no ack leaves before the fsync
+//!   covering its event), then push the write buffer until `WouldBlock`.
 //! * **backpressure** → a connection whose write backlog crosses the
 //!   high-water mark stops being read (its `POLLIN` interest is dropped)
 //!   until the backlog drains. A slow-loris client that never reads its
@@ -286,7 +288,7 @@ fn reactor_thread(
         let incoming: Vec<TcpStream> =
             std::mem::take(&mut *mailbox.inbox.lock().expect("inbox poisoned"));
         for stream in incoming {
-            match set_nonblocking(stream.as_raw_fd()) {
+            match set_nonblocking(stream.as_raw_fd()).and_then(|()| stream.set_nodelay(true)) {
                 Ok(()) => conns.push(Conn::new(stream, shards.len(), batch_max)),
                 Err(e) => {
                     metrics.record_error(&TroutError::Io(e));
@@ -305,14 +307,14 @@ fn reactor_thread(
                 continue;
             }
             if slot.writable() {
-                handle_writable(conn, metrics);
+                handle_writable(conn, shards, metrics);
             }
             if slot.readable() && !conn.dead {
                 handle_readable(conn, shards, metrics);
                 // Common case: the socket can take the response right now —
                 // don't wait a poll round-trip to send it.
                 if conn.backlog() > 0 && !conn.dead {
-                    handle_writable(conn, metrics);
+                    handle_writable(conn, shards, metrics);
                 }
             }
             track_backpressure(conn, metrics);
@@ -327,7 +329,7 @@ fn reactor_thread(
             match conn.session.flush_if_due(shards, &mut conn.wbuf) {
                 Ok(true) => {
                     if conn.backlog() > 0 {
-                        handle_writable(conn, metrics);
+                        handle_writable(conn, shards, metrics);
                     }
                     track_backpressure(conn, metrics);
                 }
@@ -444,8 +446,12 @@ fn process_lines(conn: &mut Conn, shards: &ShardSet, metrics: &ServeMetrics) {
     }
 }
 
-/// Pushes the write backlog until the socket would block.
-fn handle_writable(conn: &mut Conn, metrics: &ServeMetrics) {
+/// Commits the journals, then pushes the write backlog until the socket
+/// would block.
+fn handle_writable(conn: &mut Conn, shards: &ShardSet, metrics: &ServeMetrics) {
+    if conn.backlog() > 0 {
+        shards.commit();
+    }
     while conn.wpos < conn.wbuf.len() {
         match conn.stream.write(&conn.wbuf[conn.wpos..]) {
             Ok(0) => {

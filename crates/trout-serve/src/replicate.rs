@@ -4,14 +4,20 @@
 //! The write-ahead journal is the replication stream. A leader running with
 //! `--state-dir` journals every accepted event *before* acknowledging it
 //! ([`crate::journal`]); the replication listener tails those per-shard
-//! journal files and ships each acknowledged entry — the raw ndjson line, at
-//! its absolute position — to every connected follower. A follower replays
-//! entries through the same entry point crash recovery uses
-//! ([`crate::recover`]'s `apply_event_line`) with its *own* durability
-//! armed, so each entry re-journals into the follower's journal at the same
-//! absolute position: the follower's state dir is a valid crash-recovery
-//! dir at all times, and `state_to_json` at watermark `W` is byte-equal to
-//! the leader's at `W` (the same argument as recovery bit-identity).
+//! journal files and ships each durable entry — the raw ndjson line, at its
+//! absolute position — to every connected follower. Entries past a shard's
+//! synced watermark are written but not yet fsynced (their acks wait for
+//! the group commit), so the streamer holds them back until the commit
+//! lands: a follower never holds an entry the leader could lose to power
+//! loss. A follower replays entries through the same entry point crash
+//! recovery uses ([`crate::recover`]'s `apply_event_line`) with its *own*
+//! durability armed, so each entry re-journals into the follower's journal
+//! at the same absolute position. The follower applies every complete
+//! message already buffered, then group-commits — one fsync per touched
+//! shard — before it acks: the follower's state dir is a valid
+//! crash-recovery dir at all times, and `state_to_json` at watermark `W` is
+//! byte-equal to the leader's at `W` (the same argument as recovery
+//! bit-identity).
 //!
 //! **Wire grammar** (one JSON object per line, `repl` keyed):
 //!
@@ -62,6 +68,10 @@ const TAIL_POLL_MS: u64 = 20;
 
 /// Follower read timeout — the promote-poll cadence while the stream idles.
 const FOLLOW_READ_TIMEOUT_MS: u64 = 25;
+
+/// Follower stream read buffer: a catch-up burst applies up to this much
+/// buffered stream per group commit.
+const FOLLOW_READ_BUF: usize = 64 * 1024;
 
 /// Follower reconnect delay after losing the leader.
 const RECONNECT_MS: u64 = 200;
@@ -343,9 +353,10 @@ impl ReplicationListener {
 
 /// Spawns the leader's replication listener: accepts follower connections
 /// on `listener` and streams each shard's journal (tailed from
-/// `state_dir/shard-NNN/journal.ndjson`) to every follower. The engines are
-/// never locked on the streaming path — the journal file *is* the handoff —
-/// except to clone metrics handles once per connection.
+/// `state_dir/shard-NNN/journal.ndjson`) to every follower. The journal
+/// file *is* the handoff: the streaming path locks an engine only to clone
+/// metrics handles once per connection and to read a shard's synced
+/// watermark once per tail poll.
 pub fn spawn_replication_listener(
     shards: Arc<ShardSet>,
     state_dir: PathBuf,
@@ -487,8 +498,12 @@ fn stream_to_follower(
         }
         let mut idle = true;
         for i in 0..n {
+            // Read the synced watermark before the file: every line below
+            // it is already on disk, and lines past it are not shipped yet.
+            let synced = shards.synced_watermark(i);
             let (base, lines) = read_journal(state_dir, i)?;
-            let leader_w = base + lines.len() as u64;
+            let file_w = base + lines.len() as u64;
+            let leader_w = synced.map_or(file_w, |w| w.min(file_w));
             if cursors[i] < base {
                 // The entries the follower needs were compacted away:
                 // catch it up from the snapshot that covered them.
@@ -628,78 +643,39 @@ fn follow_once(
         "following {leader_addr} from watermarks {watermarks:?}"
     );
 
-    let mut reader = BufReader::new(stream);
+    let mut reader = BufReader::with_capacity(FOLLOW_READ_BUF, stream);
     let mut acked = watermarks;
     let mut pending = String::new();
     loop {
         if shards.promote_requested() {
             return Ok(FollowOutcome::Promoted);
         }
-        let msg = match reader.read_line(&mut pending) {
-            Ok(0) => return Ok(FollowOutcome::Disconnected),
-            Ok(_) if pending.ends_with('\n') => {
-                let msg = parse_repl_line(pending.trim_end())?;
-                pending.clear();
-                Some(msg)
-            }
-            Ok(_) => None,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                None
-            }
-            Err(_) => return Ok(FollowOutcome::Disconnected),
-        };
-        match msg {
-            Some(ReplMessage::Entry { shard, pos, line }) => {
-                if shard >= n {
-                    return Err(TroutError::Protocol(format!(
-                        "replication: entry for shard {shard} of {n}"
-                    )));
+        // Apply the next message (waiting at most the read timeout for it)
+        // and every complete message already buffered behind it.
+        loop {
+            match reader.read_line(&mut pending) {
+                Ok(0) => return Ok(FollowOutcome::Disconnected),
+                Ok(_) if pending.ends_with('\n') => {
+                    let msg = parse_repl_line(pending.trim_end())?;
+                    pending.clear();
+                    apply_stream_message(shards, msg)?;
                 }
-                let mut g = shards.lock(shard);
-                let cur = g.journal_position();
-                if pos < cur {
-                    continue; // Duplicate after a reconnect replayed overlap.
+                Ok(_) => break,
+                Err(e)
+                    if e.kind() == std::io::ErrorKind::WouldBlock
+                        || e.kind() == std::io::ErrorKind::TimedOut =>
+                {
+                    break
                 }
-                if pos > cur {
-                    return Err(TroutError::Protocol(format!(
-                        "replication: shard {shard} entry at {pos} but follower is at {cur} \
-                         — stream gap"
-                    )));
-                }
-                // Applies through the shared recovery entry point with this
-                // follower's durability armed: the entry re-journals locally
-                // at the same absolute position before it is acked.
-                apply_event_line(&mut g, &line)?;
-                g.metrics.replication_applied_total.inc();
+                Err(_) => return Ok(FollowOutcome::Disconnected),
             }
-            Some(ReplMessage::Snapshot { shard, pos, state }) => {
-                if shard >= n {
-                    return Err(TroutError::Protocol(format!(
-                        "replication: snapshot for shard {shard} of {n}"
-                    )));
-                }
-                shards.lock(shard).install_snapshot(&state, pos)?;
-                trout_obs::log_info!(
-                    "serve",
-                    "replication: installed leader snapshot for shard {shard} at {pos}"
-                );
+            if !reader.buffer().contains(&b'\n') {
+                break;
             }
-            Some(ReplMessage::Error { reason, detail }) => {
-                return Err(TroutError::Config(format!(
-                    "replication: leader refused: {reason}: {detail}"
-                )));
-            }
-            Some(other) => {
-                return Err(TroutError::Protocol(format!(
-                    "replication: unexpected message {other:?}"
-                )));
-            }
-            None => {}
         }
-        // Ack whatever moved (after each message and on every idle tick).
+        // Group commit, then ack whatever moved: one fsync per touched
+        // shard covers the whole batch, and acks still follow durability.
+        shards.commit();
         for i in 0..n {
             let w = shards.lock(i).journal_position();
             if w > acked[i] {
@@ -709,6 +685,60 @@ fn follow_once(
         }
         writer.flush()?;
     }
+}
+
+/// Applies one leader message to the follower's shards (entries re-journal
+/// locally; the caller commits before acking).
+fn apply_stream_message(shards: &ShardSet, msg: ReplMessage) -> Result<(), TroutError> {
+    let n = shards.len();
+    match msg {
+        ReplMessage::Entry { shard, pos, line } => {
+            if shard >= n {
+                return Err(TroutError::Protocol(format!(
+                    "replication: entry for shard {shard} of {n}"
+                )));
+            }
+            let mut g = shards.lock(shard);
+            let cur = g.journal_position();
+            if pos < cur {
+                return Ok(()); // Duplicate after a reconnect replayed overlap.
+            }
+            if pos > cur {
+                return Err(TroutError::Protocol(format!(
+                    "replication: shard {shard} entry at {pos} but follower is at {cur} \
+                     — stream gap"
+                )));
+            }
+            // Applies through the shared recovery entry point with this
+            // follower's durability armed: the entry re-journals locally at
+            // the same absolute position before it is acked.
+            apply_event_line(&mut g, &line)?;
+            g.metrics.replication_applied_total.inc();
+        }
+        ReplMessage::Snapshot { shard, pos, state } => {
+            if shard >= n {
+                return Err(TroutError::Protocol(format!(
+                    "replication: snapshot for shard {shard} of {n}"
+                )));
+            }
+            shards.lock(shard).install_snapshot(&state, pos)?;
+            trout_obs::log_info!(
+                "serve",
+                "replication: installed leader snapshot for shard {shard} at {pos}"
+            );
+        }
+        ReplMessage::Error { reason, detail } => {
+            return Err(TroutError::Config(format!(
+                "replication: leader refused: {reason}: {detail}"
+            )));
+        }
+        other => {
+            return Err(TroutError::Protocol(format!(
+                "replication: unexpected message {other:?}"
+            )));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

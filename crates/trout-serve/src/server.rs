@@ -4,10 +4,20 @@
 //!
 //! Both feed the same [`RouterSession`] loop against a [`ShardSet`]. Predict
 //! requests are **micro-batched**: they queue until a non-predict line
-//! arrives, the batch cap is hit, or the reader's buffer drains (no more
-//! bytes ready — the client is waiting), then flush through one
+//! arrives, the batch cap is hit, or the reader's buffer drains (no complete
+//! request line left — the client is waiting), then flush through one
 //! `predict_batch` call per shard with queries routed by `hash(job_id) % N`.
 //! Responses always come back in request order, one line per request.
+//!
+//! Responses leave through one **egress barrier** ([`egress`]): they collect
+//! in a reused per-session buffer that is pushed with one write whenever the
+//! reader drains, or earlier once it would pass [`EGRESS_CAP`]. Right before
+//! the bytes go out, [`ShardSet::commit`] fsyncs every journal with unsynced
+//! appends, so under `--fsync-every 1` no ack leaves before the fsync that
+//! covers its event — one fsync per dirty shard per drained window instead
+//! of one per event. Accepted sockets get `TCP_NODELAY`: the barrier
+//! already coalesces a window into one write, so Nagle would only hold the
+//! answer back for the client's delayed ACK.
 //!
 //! Sessions are fault-isolated from each other. Every engine lock goes
 //! through the shard set's poison-recovering lock — one crashed session must
@@ -25,7 +35,7 @@
 //! (`ECONNABORTED`, …) skip just that connection, and anything else is a
 //! broken listener and fatal.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::TcpListener;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -39,6 +49,36 @@ use crate::shard::ShardSet;
 
 /// Hard ceiling on coalesced batch size when the caller passes 0.
 pub(crate) const DEFAULT_BATCH_MAX: usize = 64;
+
+/// Egress buffer cap (bytes): a session's unsent responses are pushed once
+/// the next one would pass it, so a client that pipelines without reading
+/// holds the daemon to this much buffered output per session.
+pub const EGRESS_CAP: usize = 16 * 1024;
+
+/// The write side of the egress barrier: group-commits the journals before
+/// every write reaches the client ([`ShardSet::commit`]).
+pub struct CommitBarrier<'a, W> {
+    shards: &'a ShardSet,
+    out: W,
+}
+
+impl<W: Write> Write for CommitBarrier<'_, W> {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        self.shards.commit();
+        self.out.write(bytes)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.out.flush()
+    }
+}
+
+/// A session's egress: responses buffer (at most [`EGRESS_CAP`] bytes, in
+/// one buffer reused for the session's life) and go out through a
+/// [`CommitBarrier`] on `flush` or when the buffer would overflow.
+pub fn egress<W: Write>(shards: &ShardSet, out: W) -> BufWriter<CommitBarrier<'_, W>> {
+    BufWriter::with_capacity(EGRESS_CAP, CommitBarrier { shards, out })
+}
 
 /// What one failed `accept(2)` means for the listener.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -173,11 +213,12 @@ impl AcceptBackoff {
 }
 
 /// Runs one client session to completion (EOF or `shutdown`). Returns the
-/// number of request lines handled.
+/// number of request lines handled. Responses go to `out` through the
+/// session's [`egress`] barrier.
 pub fn run_session<R: Read, W: Write>(
     shards: &ShardSet,
     input: R,
-    mut out: W,
+    out: W,
     batch_max: usize,
 ) -> Result<u64, TroutError> {
     let batch_max = if batch_max == 0 {
@@ -186,6 +227,7 @@ pub fn run_session<R: Read, W: Write>(
         batch_max
     };
     let mut reader = BufReader::new(input);
+    let mut out = egress(shards, out);
     let mut line = String::new();
     let mut session = RouterSession::new(shards.len(), batch_max);
     let mut handled = 0u64;
@@ -197,27 +239,21 @@ pub fn run_session<R: Read, W: Write>(
             break;
         }
         let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        handled += 1;
-        match session.handle_line(shards, trimmed, &mut out)? {
-            Flow::Shutdown => {
+        if !trimmed.is_empty() {
+            handled += 1;
+            if session.handle_line(shards, trimmed, &mut out)? == Flow::Shutdown {
                 out.flush()?;
                 return Ok(handled);
             }
-            Flow::Continue => {}
         }
-        // Flush pending window positions (queued predicts and resolved
-        // sheds) when the client has nothing further buffered and is
-        // presumably waiting on the answers. The blocking transports stay
-        // due-on-drain for every request — deadline-holding is the
-        // reactor's refinement (DESIGN §12) — so v1 pipe clients see
-        // exactly the PR 6 flush timing.
-        if session.pending() > 0 && reader.buffer().is_empty() {
+        // No complete request line buffered: the next read may block, so
+        // the client is presumably waiting on the answers. Flush pending
+        // window positions (queued predicts and resolved sheds), then push
+        // every buffered response through the commit barrier. The blocking
+        // transports stay due-on-drain for every request — deadline-holding
+        // is the reactor's refinement (DESIGN §12).
+        if !reader.buffer().contains(&b'\n') {
             session.flush(shards, &mut out)?;
-        }
-        if session.pending() == 0 {
             out.flush()?;
         }
     }
@@ -283,6 +319,9 @@ pub fn run_tcp(
             }
         };
         backoff.on_success(&metrics);
+        if let Err(e) = stream.set_nodelay(true) {
+            trout_obs::log_warn!("serve", "could not set TCP_NODELAY on a session: {e}");
+        }
         reap_finished(&mut handles);
         let session_shards = Arc::clone(&shards);
         handles.push(std::thread::spawn(move || {

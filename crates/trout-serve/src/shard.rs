@@ -141,6 +141,9 @@ pub struct ShardSet {
     /// Set by a `{"event":"promote"}` admin line; the follower loop observes
     /// it, drains the stream connection, and lifts the read-only gate.
     promote_requested: AtomicBool,
+    /// Whether [`ShardSet::open_state_dir`] armed journaling — until then
+    /// [`ShardSet::commit`] has nothing to sync and takes no lock.
+    durable: AtomicBool,
 }
 
 impl ShardSet {
@@ -158,6 +161,7 @@ impl ShardSet {
             admission: AdmissionControl::new(),
             read_only: AtomicBool::new(false),
             promote_requested: AtomicBool::new(false),
+            durable: AtomicBool::new(false),
         }
     }
 
@@ -315,7 +319,43 @@ impl ShardSet {
             let sub = shard_dir(dir, i);
             reports.push(lock_engine(shard).open_state_dir(&sub, snapshot_every, recover)?);
         }
+        self.durable.store(true, Ordering::SeqCst);
         Ok(reports)
+    }
+
+    /// The egress barrier's group commit: one fsync per shard journal with
+    /// unsynced appends ([`Journal::commit`]), so every event journaled so
+    /// far is durable before any response acknowledging it leaves.
+    /// Transports call this right before response bytes go out; without a
+    /// state dir it is a no-op that takes no lock.
+    ///
+    /// A failed fsync is **fatal**: the error is logged and the process
+    /// exits with status 1 without sending the unsynced responses. After a
+    /// failed `fdatasync` the kernel may have dropped the dirty pages, so no
+    /// session may ack an event the retry would falsely cover.
+    ///
+    /// [`Journal::commit`]: crate::Journal::commit
+    pub fn commit(&self) {
+        if !self.durable.load(Ordering::SeqCst) {
+            return;
+        }
+        for (i, shard) in self.shards.iter().enumerate() {
+            if let Err(e) = lock_engine(shard).commit_journal() {
+                trout_obs::log_error!(
+                    "serve",
+                    "shard {i} journal fsync failed; exiting without acknowledging the \
+                     unsynced events: {e}"
+                );
+                std::process::exit(1);
+            }
+        }
+    }
+
+    /// Shard `i`'s synced journal watermark — the end of the prefix that may
+    /// be acknowledged and replicated. `None` when this process attached no
+    /// journal to the shard (it then has no unsynced appends of its own).
+    pub fn synced_watermark(&self, i: usize) -> Option<u64> {
+        self.lock(i).journal_synced()
     }
 
     /// Syncs every shard's buffered journal appends (clean-shutdown path).
@@ -490,6 +530,7 @@ impl ShardSet {
             m.refits += mm.refits_total.get();
             m.errors += mm.errors_total.get();
             m.journal_appends += mm.journal_appends_total.get();
+            m.journal_fsyncs += mm.journal_fsyncs_total.get();
             m.snapshots += mm.snapshots_total.get();
             m.recovery_replayed += mm.recovery_replayed_events.get();
             for (acc, c) in m.errors_by_class.iter_mut().zip(&mm.errors_by_class) {
@@ -535,6 +576,7 @@ struct MergedMetrics {
     refits: u64,
     errors: u64,
     journal_appends: u64,
+    journal_fsyncs: u64,
     snapshots: u64,
     recovery_replayed: u64,
     sessions: u64,
@@ -595,6 +637,10 @@ impl MergedMetrics {
                     (
                         "journal_appends".into(),
                         Json::Int(self.journal_appends as i128),
+                    ),
+                    (
+                        "journal_fsyncs".into(),
+                        Json::Int(self.journal_fsyncs as i128),
                     ),
                     ("snapshots".into(), Json::Int(self.snapshots as i128)),
                     (

@@ -271,3 +271,119 @@ fn state_dump_is_the_replication_oracle_over_the_wire() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Sum of a set's per-shard journal fsync counters.
+fn fsyncs(shards: &ShardSet) -> u64 {
+    (0..shards.len())
+        .map(|i| shards.lock(i).metrics.journal_fsyncs_total.get())
+        .sum()
+}
+
+#[test]
+fn leader_streams_only_committed_entries() {
+    let leader = Arc::new(shardset(1));
+    let ldir = state_dir("durable_leader");
+    leader.open_state_dir(&ldir, 0, false).unwrap();
+    let live = SimulationBuilder::anvil_like().jobs(40).seed(9).run();
+    serve(&leader, &trout_serve::replay_script(&live, 3));
+    let hub = spawn_replication_listener(
+        Arc::clone(&leader),
+        ldir.clone(),
+        TcpListener::bind("127.0.0.1:0").unwrap(),
+    )
+    .unwrap();
+    let addr = hub.addr().to_string();
+    let follower = Arc::new(shardset(1));
+    let fdir = state_dir("durable_follower");
+    follower.open_state_dir(&fdir, 0, false).unwrap();
+    let fthread = {
+        let shards = Arc::clone(&follower);
+        let dir = fdir.clone();
+        std::thread::spawn(move || run_follower(&shards, &dir, &addr))
+    };
+    let committed = leader.journal_watermarks();
+    wait_for("follower to reach the committed watermark", 30, || {
+        follower.journal_watermarks() == committed
+    });
+
+    // Appended (written to the file) but not yet group-committed: the
+    // leader could still lose it to power loss, so it must not ship.
+    let mut rec = live.records[0].clone();
+    rec.id = 9_000_001;
+    leader.lock(0).apply_submit(rec).unwrap();
+    assert_eq!(leader.journal_watermarks()[0], committed[0] + 1);
+    assert_eq!(leader.synced_watermark(0), Some(committed[0]));
+    std::thread::sleep(Duration::from_millis(400)); // ≥ 20 tail polls
+    assert_eq!(
+        follower.journal_watermarks(),
+        committed,
+        "an uncommitted entry reached the follower"
+    );
+
+    leader.commit();
+    assert_eq!(leader.synced_watermark(0), Some(committed[0] + 1));
+    let target = leader.journal_watermarks();
+    wait_for("the committed entry to stream", 30, || {
+        follower.journal_watermarks() == target
+    });
+
+    hub.stop();
+    follower.request_promote();
+    fthread.join().unwrap().unwrap();
+    assert_eq!(
+        follower.merged_state_to_json().to_string(),
+        leader.merged_state_to_json().to_string()
+    );
+    let _ = std::fs::remove_dir_all(&ldir);
+    let _ = std::fs::remove_dir_all(&fdir);
+}
+
+#[test]
+fn follower_catch_up_group_commits_fewer_fsyncs_than_entries() {
+    let leader = Arc::new(shardset(2));
+    let ldir = state_dir("catchup_leader");
+    leader.open_state_dir(&ldir, 0, false).unwrap();
+    let live = SimulationBuilder::anvil_like().jobs(120).seed(9).run();
+    serve(&leader, &trout_serve::replay_script(&live, 3));
+    let watermarks = leader.journal_watermarks();
+    let entries: u64 = watermarks.iter().sum();
+
+    let hub = spawn_replication_listener(
+        Arc::clone(&leader),
+        ldir.clone(),
+        TcpListener::bind("127.0.0.1:0").unwrap(),
+    )
+    .unwrap();
+    let addr = hub.addr().to_string();
+    let follower = Arc::new(shardset(2));
+    let fdir = state_dir("catchup_follower");
+    follower.open_state_dir(&fdir, 0, false).unwrap();
+    let fthread = {
+        let shards = Arc::clone(&follower);
+        let dir = fdir.clone();
+        std::thread::spawn(move || run_follower(&shards, &dir, &addr))
+    };
+    wait_for("follower to catch up", 30, || {
+        follower.journal_watermarks() == watermarks
+    });
+    let synced: u64 = fsyncs(&follower);
+    assert!(
+        synced < entries,
+        "catching up {entries} entries took {synced} fsyncs"
+    );
+    let applied: u64 = (0..follower.len())
+        .map(|i| follower.lock(i).metrics.replication_applied_total.get())
+        .sum();
+    assert_eq!(applied, entries, "every entry applied exactly once");
+
+    hub.stop();
+    follower.request_promote();
+    fthread.join().unwrap().unwrap();
+    assert_eq!(
+        follower.merged_state_to_json().to_string(),
+        leader.merged_state_to_json().to_string(),
+        "group-committed catch-up stays byte-identical"
+    );
+    let _ = std::fs::remove_dir_all(&ldir);
+    let _ = std::fs::remove_dir_all(&fdir);
+}

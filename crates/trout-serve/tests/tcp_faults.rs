@@ -456,8 +456,20 @@ fn slow_loris_reader_is_backpressured_without_starving_others() {
         })
     };
 
-    // While the loris stews, a healthy client on the same reactor thread
-    // gets a full round trip.
+    // Let the loris stew until its backlog crosses the high-water mark.
+    // Waiting on the counter (not on time) keeps the loris from reading
+    // before the kernel buffers have filled and the reactor has paused it.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    while shared.metrics0().reactor_backpressure_total.get() == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the write backlog never crossed the high-water mark"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+
+    // While the loris is paused, a healthy client on the same reactor
+    // thread gets a full round trip.
     {
         let mut conn = TcpStream::connect(addr).unwrap();
         let job = "{\"event\":\"submit\",\"job\":{\"id\":7001,\"user\":2,\"partition\":0,\

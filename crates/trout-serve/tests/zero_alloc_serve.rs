@@ -7,16 +7,22 @@
 //! place, the batch matrix and model scratch reshape within capacity, and
 //! the result slots overwrite in place — so a whole `predict_batch_into`
 //! flush must touch the global allocator **exactly zero** times, in both
-//! the exact and the packed-f32 inference modes.
+//! the exact and the packed-f32 inference modes. Pushing the window's
+//! response bytes out through the session's egress barrier (the reused
+//! buffer plus the commit) is inside the guarantee too.
 //!
 //! Paths deliberately outside the guarantee: the first predict of a job
 //! (clones its raw row into the refit cache), journaling (serializes event
 //! lines; needs a state dir), error slots (format their message), and
 //! refits.
 
+use std::io::Write;
+
 use trout_obs::trace::{Stage, TraceRecord, N_STAGES};
 use trout_serve::engine::PredictQuery;
-use trout_serve::{ServeConfig, ServeEngine};
+use trout_serve::protocol::prediction_response;
+use trout_serve::server::egress;
+use trout_serve::{ServeConfig, ServeEngine, ShardSet};
 use trout_slurmsim::SimulationBuilder;
 use trout_std::alloc_count::CountingAllocator;
 
@@ -32,7 +38,8 @@ fn steady_state_allocations(infer_f32: bool) -> u64 {
         infer_f32,
         ..Default::default()
     };
-    let mut engine = ServeEngine::bootstrap(300, &cfg);
+    let shards = ShardSet::single(ServeEngine::bootstrap(300, &cfg));
+    let mut engine = shards.lock(0);
     let live = SimulationBuilder::anvil_like().jobs(64).seed(8).run();
     // Submit a backlog and keep it pending; probe at the latest submit
     // instant so every query rides the snapshot fast path.
@@ -67,6 +74,19 @@ fn steady_state_allocations(infer_f32: bool) -> u64 {
     };
     sink.record(&record); // warm nothing — record never allocates, proven below
 
+    // The window's response bytes (rendering allocates, so it happens
+    // here) and a client with room for both pushes below; the egress
+    // buffer itself is allocated once, when the session starts.
+    let window: String = queries
+        .iter()
+        .zip(&results)
+        .map(|(q, r)| prediction_response(q.id, r.as_ref().unwrap(), false, None) + "\n")
+        .collect();
+    let mut client: Vec<u8> = Vec::with_capacity(2 * window.len());
+    let mut out = egress(&shards, &mut client);
+    out.write_all(window.as_bytes()).unwrap();
+    out.flush().unwrap();
+
     let (_, during) = CountingAllocator::count(|| {
         engine.predict_batch_into(&queries, &mut results);
         for (k, _) in queries.iter().enumerate() {
@@ -75,7 +95,15 @@ fn steady_state_allocations(infer_f32: bool) -> u64 {
             sink.record(&r);
             burn.record(1, k % 2 == 0, 1_000 + k as u64);
         }
+        out.write_all(window.as_bytes()).unwrap();
+        out.flush().unwrap();
     });
+    drop(out);
+    assert_eq!(
+        client.len(),
+        2 * window.len(),
+        "both windows reached the client"
+    );
     assert_eq!(results.len(), BATCH);
     assert!(results.iter().all(|r| r.is_ok()));
     assert!(sink.recorded() >= BATCH as u64);

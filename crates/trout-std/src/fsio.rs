@@ -92,10 +92,16 @@ pub fn truncate_sync(f: &mut File, len: u64) -> io::Result<()> {
     f.sync_data()
 }
 
-/// Appends one line (a trailing `\n` is added) to an already-open file.
-pub fn append_line(f: &mut File, line: &str) -> io::Result<()> {
-    f.write_all(line.as_bytes())?;
-    f.write_all(b"\n")
+/// Appends one line (a trailing `\n` is added) to an already-open file in
+/// a single `write_all`, so the record reaches the kernel in one `write(2)`
+/// rather than as a line and a separate newline. The record is staged in
+/// `buf` (cleared first); callers keep one buffer across appends so a
+/// steady-state append does not allocate.
+pub fn append_line(f: &mut File, buf: &mut Vec<u8>, line: &str) -> io::Result<()> {
+    buf.clear();
+    buf.extend_from_slice(line.as_bytes());
+    buf.push(b'\n');
+    f.write_all(buf)
 }
 
 #[cfg(test)]
@@ -134,7 +140,7 @@ mod tests {
         std::fs::write(&p, "a\nb\npartial").unwrap();
         let (mut f, lines) = open_append_complete(&p).unwrap();
         assert_eq!(lines, 2);
-        append_line(&mut f, "c").unwrap();
+        append_line(&mut f, &mut Vec::new(), "c").unwrap();
         drop(f);
         assert_eq!(std::fs::read_to_string(&p).unwrap(), "a\nb\nc\n");
         std::fs::remove_file(&p).unwrap();
@@ -151,7 +157,7 @@ mod tests {
         let (mut f, lines) = open_append_complete(&p).unwrap();
         assert_eq!(lines, 0);
         assert_eq!(f.metadata().unwrap().len(), 0, "truncated to empty");
-        append_line(&mut f, "first").unwrap();
+        append_line(&mut f, &mut Vec::new(), "first").unwrap();
         drop(f);
         assert_eq!(std::fs::read_to_string(&p).unwrap(), "first\n");
         std::fs::remove_file(&p).unwrap();
@@ -175,7 +181,7 @@ mod tests {
         let _ = std::fs::remove_file(&p);
         let (mut f, lines) = open_append_complete(&p).unwrap();
         assert_eq!(lines, 0);
-        append_line(&mut f, "x").unwrap();
+        append_line(&mut f, &mut Vec::new(), "x").unwrap();
         f.sync_data().unwrap();
         let (lines, torn) = read_complete_lines(&p).unwrap();
         assert_eq!((lines.len(), torn), (1, 0));
