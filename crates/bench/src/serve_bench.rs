@@ -440,10 +440,10 @@ fn backlog_sweep(smoke: bool) -> Json {
 
 /// Sweeps paced offered load through the scheduled v2 predict path
 /// (DESIGN §12) at 1 and 2 shards: an open-loop driver emits v2 predicts —
-/// 10% urgent, 10% batch, the rest normal — at a fixed target rate, holding
-/// each window on the production deadline scheduler (`flush_if_due` after
-/// every arrival, exactly what the reactor's deadline pass does between
-/// polls).
+/// 10% urgent, 10% batch, the rest normal — at a fixed target rate, and
+/// flushes each window the way `run_session` does: when its reader drains,
+/// i.e. once no later request has arrived yet. Requests that arrive while
+/// a flush runs coalesce into the next window (up to the batch cap).
 ///
 /// Latency is charged from each request's **scheduled** arrival instant,
 /// not the moment the driver managed to send it — the standard
@@ -531,7 +531,10 @@ fn offered_load_sweep(smoke: bool) -> Json {
                 if session.queued() != q0 || session.pending() == 0 {
                     inflight.push((sched_us, rank));
                 }
-                session.flush_if_due(&set, &mut out).expect("flush_if_due");
+                let next_us = (k as u64 + 1) * 1_000_000 / rate;
+                if (t0.elapsed().as_micros() as u64) < next_us {
+                    session.flush(&set, &mut out).expect("flush");
+                }
                 if session.pending() == 0 {
                     // A flush drains the whole window: everything in flight
                     // completed now.

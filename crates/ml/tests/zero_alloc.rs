@@ -15,10 +15,14 @@
 //! (`PAR_THRESHOLD` = 64 KiB elements) so the kernels take the serial path:
 //! the thread-pool gate reads `TROUT_THREADS` from the environment, and
 //! `std::env::var` allocates its `String` result.
+//!
+//! Both tests hold [`alloc_count::exclusive`] for their whole body: the
+//! counter is process-wide, so a test running beside a counted region
+//! would otherwise add its own allocations to that count.
 
 use trout_linalg::Matrix;
 use trout_ml::nn::{Activation, Loss, Mlp, MlpConfig};
-use trout_std::alloc_count::CountingAllocator;
+use trout_std::alloc_count::{self, CountingAllocator};
 use trout_std::rng::SplitMix64;
 
 #[global_allocator]
@@ -61,6 +65,7 @@ fn spanned_work() {
 
 #[test]
 fn warmed_obs_recording_does_not_allocate() {
+    let _serial = alloc_count::exclusive();
     // First hits initialize the per-call-site statics and register the
     // metrics (a lock plus a handful of allocations, once per name).
     spanned_work();
@@ -89,6 +94,7 @@ fn warmed_obs_recording_does_not_allocate() {
 
 #[test]
 fn steady_state_training_and_inference_do_not_allocate() {
+    let _serial = alloc_count::exclusive();
     // Pin to one thread for determinism; the sizes above keep the kernels
     // serial anyway, so the env var is never re-read inside the hot loop.
     std::env::set_var("TROUT_THREADS", "1");

@@ -90,8 +90,12 @@ SUBCOMMANDS:
               --trace FILE [--trials N]
   serve       online prediction daemon (ndjson over stdin/stdout or TCP)
               (--model MODEL.json --trace FILE | --bootstrap JOBS)
-              [--stdin | --listen ADDR [--reactor [--reactor-threads N]]]
+              [--stdin | --listen ADDR]
               [--shards N] [--batch N] [--refit-every N]
+              [--deadline-ms N] [--urgent-deadline-ms N]
+              [--batch-deadline-ms N]   per-lane latency budgets
+              [--est-predict-us N]   per-predict cost estimate behind
+              admission control (the shed threshold and retry_after_ms)
               [--state-dir DIR [--recover] [--snapshot-every N]
                [--fsync-every N] [--compact]]   crash-safe journaling +
               recovery; --fsync-every 1 (default) fsyncs each dirty shard
@@ -101,8 +105,7 @@ SUBCOMMANDS:
               [--replicate-listen ADDR]   leader: stream journals to followers
               [--follow ADDR]   hot standby: replay the leader's stream,
               serve read-only, promote via {{\"event\":\"promote\"}}
-              --shards N routes predicts across N engines; --reactor swaps
-              thread-per-connection for a poll(2) event loop
+              --shards N routes predicts across N engines
   events      flatten a trace into a submit/start/end ndjson replay script
               --trace FILE [--out FILE] [--predict-every N]
   metrics     dump a running daemon's metrics registry

@@ -10,8 +10,8 @@ use trout_core::online::OnlineConfig;
 use trout_core::TroutConfig;
 use trout_obs::log_info;
 use trout_serve::{
-    replay_script, run_follower, run_reactor, run_stdin, run_tcp, spawn_replication_listener,
-    ReactorConfig, ServeConfig, ShardSet,
+    replay_script, run_follower, run_stdin, run_tcp, spawn_replication_listener, ServeConfig,
+    ShardSet,
 };
 use trout_std::json::Json;
 
@@ -19,7 +19,7 @@ use crate::args::Options;
 use crate::commands::{load_model, load_trace};
 
 /// `trout serve (--model MODEL.json --trace FILE | --bootstrap JOBS)
-///              [--stdin | --listen ADDR [--reactor [--reactor-threads N]]]
+///              [--stdin | --listen ADDR]
 ///              [--shards N] [--batch N] [--refit-every N] [--infer-f32]
 ///              [--deadline-ms N] [--urgent-deadline-ms N]
 ///              [--batch-deadline-ms N] [--est-predict-us N]
@@ -29,21 +29,19 @@ use crate::commands::{load_model, load_trace};
 ///
 /// Builds the shard set (either from a trained model plus its training
 /// trace, or self-bootstrapped from a fresh simulation), then serves the
-/// ndjson protocol over stdin/stdout (the default) or a TCP listener.
+/// ndjson protocol over stdin/stdout (the default) or a TCP listener that
+/// runs one session thread per connection.
 ///
 /// `--shards N` runs N independent engines: lifecycle events broadcast to
 /// every shard, predicts route by `hash(job_id) % N`, and the wire protocol
-/// is unchanged. `--reactor` swaps the listener's thread-per-connection
-/// transport for the `poll(2)` event loop (`--reactor-threads`, default
-/// auto), multiplexing many connections per thread.
+/// is unchanged.
 ///
 /// The scheduler flags tune the v2 predict SLO layer (DESIGN §12):
 /// `--deadline-ms` / `--urgent-deadline-ms` / `--batch-deadline-ms` set the
 /// default latency budget of the normal / urgent / batch lane (defaults
 /// 500 / 50 / 5000) for predicts that name no explicit `deadline_ms`, and
 /// `--est-predict-us` (default 150) is the per-prediction cost estimate
-/// behind both the deadline-hold window and the admission-control shed
-/// threshold.
+/// behind the admission-control shed threshold.
 ///
 /// `--infer-f32` serves predictions through the packed f32 fast path:
 /// weights are transposed and batch norm folded once per model publish, and
@@ -240,30 +238,8 @@ pub fn serve(opts: &Options) -> Result<()> {
                 );
                 std::thread::spawn(move || run_follower(&s, &dir, &faddr))
             });
-            if opts.has("reactor") {
-                let threads: usize = opts.get_or("reactor-threads", 0)?;
-                log_info!(
-                    "serve",
-                    "listening on {addr} (reactor transport, {} thread(s))",
-                    if threads == 0 {
-                        "auto".to_string()
-                    } else {
-                        threads.to_string()
-                    }
-                );
-                run_reactor(
-                    shards,
-                    listener,
-                    ReactorConfig {
-                        threads,
-                        batch_max: batch,
-                        max_conns: None,
-                    },
-                )
-            } else {
-                log_info!("serve", "listening on {addr}");
-                run_tcp(shards, listener, batch, None)
-            }
+            log_info!("serve", "listening on {addr}");
+            run_tcp(shards, listener, batch, None)
         }
         None if replicate_listen.is_some() || follow.is_some() => Err(TroutError::Config(
             "replication needs --listen ADDR: followers ack over TCP and \

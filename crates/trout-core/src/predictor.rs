@@ -81,8 +81,8 @@ impl FromJson for QueueEstimate {
 /// The serving priority lane a prediction request travels in.
 ///
 /// Lanes order **scheduling**, not numerics: a prediction's value is
-/// identical in every lane (row-independent inference); what changes is how
-/// long the batch former may hold the request and how aggressively admission
+/// identical in every lane (row-independent inference); what changes is
+/// where it runs within a flushed batch and how aggressively admission
 /// control sheds it under load. `Urgent` outranks `Normal` outranks `Batch`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Lane {
@@ -158,9 +158,9 @@ impl FromJson for Lane {
 }
 
 /// A latency budget: how long the requester is willing to wait for the
-/// answer, end to end. The serve scheduler turns it into an absolute flush
-/// deadline at admission; a request with no explicit deadline gets its
-/// lane's configured default.
+/// answer, end to end. The serve scheduler admits against it and counts an
+/// SLO violation when the wait exceeds it; a request with no explicit
+/// deadline gets its lane's configured default.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Deadline {
     /// Budget in milliseconds (wire field `deadline_ms`).

@@ -14,20 +14,16 @@
 //!   events broadcast (each shard keeps a full, cheap index replica), the
 //!   expensive predicts route by `hash(job_id) % N`, and per-shard journals
 //!   recover independently.
-//! * [`server`] — the blocking transports (stdin, thread-per-connection
-//!   TCP) and the micro-batching session loop that coalesces back-to-back
-//!   predicts into one forward pass per shard.
+//! * [`server`] — the transports (stdin, thread-per-connection TCP) and
+//!   the one micro-batching session loop behind both, which coalesces
+//!   back-to-back predicts into one forward pass per shard.
 //! * [`router::RouterSession`] — per-client request routing: splits a mixed
 //!   ndjson batch by shard, fans out, and re-pairs responses positionally
 //!   so the wire protocol cannot tell how many shards answer it.
-//! * [`reactor`] — the event-driven TCP transport: `poll(2)` readiness over
-//!   nonblocking sockets (via [`trout_std::evloop`]), multiplexing many
-//!   connections per thread with per-connection write backpressure.
 //! * [`scheduler`] — the SLO layer behind the v2 predict envelope: latency
-//!   budgets per priority lane (`urgent` > `normal` > `batch`), the
-//!   deadline-driven flush rule, and lane-aware admission control that
-//!   sheds with a typed `overloaded` + `retry_after_ms` instead of
-//!   queueing into certain SLO violation.
+//!   budgets per priority lane (`urgent` > `normal` > `batch`) and
+//!   lane-aware admission control that sheds with a typed `overloaded` +
+//!   `retry_after_ms` instead of queueing into certain SLO violation.
 //! * [`protocol`] — the event grammar, parsing, and response builders.
 //! * [`metrics`] — shared handles into a per-engine
 //!   [`trout_obs::Registry`]: counters, per-error-class breakdowns, and
@@ -58,7 +54,6 @@ pub mod engine;
 pub mod journal;
 pub mod metrics;
 pub mod protocol;
-pub mod reactor;
 pub mod recover;
 pub mod replay;
 pub mod replicate;
@@ -74,7 +69,6 @@ pub use protocol::{
     parse_event, trace_id_str, trace_record_json, trace_response, ClientEvent, MetricsFormat,
     DEFAULT_TRACE_LAST,
 };
-pub use reactor::{run_reactor, ReactorConfig};
 pub use recover::RecoveryReport;
 pub use replay::replay_script;
 pub use replicate::{run_follower, spawn_replication_listener, ReplicationListener};

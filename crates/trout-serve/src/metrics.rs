@@ -108,11 +108,11 @@ pub struct ServeMetrics {
     pub recovery_replayed_events: Counter,
     /// TCP sessions accepted over the daemon's lifetime.
     pub sessions_total: Counter,
-    /// TCP session threads currently tracked (updated at each accept, after
-    /// reaping finished handles).
+    /// TCP session threads currently running (raised at accept, lowered by
+    /// each session thread as it ends).
     pub sessions_live: Gauge,
-    /// High-water mark of `sessions_live` — the regression guard against
-    /// the unbounded JoinHandle growth bug.
+    /// High-water mark of `sessions_live` — the regression guard against a
+    /// listener holding one thread per connection it ever served.
     pub sessions_live_peak: Gauge,
     /// Transient accept failures survived (ECONNABORTED and friends — the
     /// connection was lost before the listener could hand it over).
@@ -122,9 +122,6 @@ pub struct ServeMetrics {
     pub accept_backoffs_total: Counter,
     /// Current accept backoff delay in milliseconds (0 while healthy).
     pub accept_backoff_ms: Gauge,
-    /// Reactor connections whose response backlog crossed the high-water
-    /// mark, pausing reads on that connection (slow-loris backpressure).
-    pub reactor_backpressure_total: Counter,
     /// Predictions served per lane, [`LANES`] order (urgent/normal/batch).
     pub lane_predicts_total: [Counter; 3],
     /// Admission-control sheds per lane, [`LANES`] order — every shed is an
@@ -225,7 +222,6 @@ impl ServeMetrics {
             accept_transient_total: r.counter("serve.accept.transient_total"),
             accept_backoffs_total: r.counter("serve.accept.backoffs_total"),
             accept_backoff_ms: r.gauge("serve.accept.backoff_ms"),
-            reactor_backpressure_total: r.counter("serve.reactor.backpressure_total"),
             lane_predicts_total: LANES
                 .map(|l| r.counter(&format!("serve.lane.{}_predicts_total", l.as_str()))),
             shed_total: LANES

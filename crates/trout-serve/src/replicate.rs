@@ -49,7 +49,7 @@
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -61,6 +61,7 @@ use trout_std::json::Json;
 use crate::journal::{parse_base_line, JOURNAL_FILE, SNAPSHOT_FILE};
 use crate::metrics::ServeMetrics;
 use crate::recover::apply_event_line;
+use crate::server::{AcceptBackoff, ConnThreads};
 use crate::shard::{shard_dir, ShardSet};
 
 /// Leader poll interval for new journal lines (the stream latency floor).
@@ -344,7 +345,7 @@ impl ReplicationListener {
     }
 
     /// Stops the acceptor and every follower stream (connections drop
-    /// without goodbye) and joins the threads.
+    /// without goodbye) and waits for their threads to end.
     pub fn stop(self) {
         self.stop.store(true, Ordering::SeqCst);
         let _ = self.handle.join();
@@ -354,9 +355,15 @@ impl ReplicationListener {
 /// Spawns the leader's replication listener: accepts follower connections
 /// on `listener` and streams each shard's journal (tailed from
 /// `state_dir/shard-NNN/journal.ndjson`) to every follower. The journal
-/// file *is* the handoff: the streaming path locks an engine only to clone
-/// metrics handles once per connection and to read a shard's synced
-/// watermark once per tail poll.
+/// file *is* the handoff: the streaming path reads a shard's synced
+/// watermark once per tail poll and otherwise locks no engine.
+///
+/// The acceptor shares [`run_tcp`](crate::run_tcp)'s accept policy: stream
+/// threads go through [`ConnThreads`] (its live count is every shard's
+/// `replication_followers` gauge) and accept errors through
+/// [`AcceptBackoff`], so a broken listener ends the acceptor instead of
+/// retrying forever. The listener is nonblocking only so the acceptor can
+/// notice [`ReplicationListener::stop`].
 pub fn spawn_replication_listener(
     shards: Arc<ShardSet>,
     state_dir: PathBuf,
@@ -366,52 +373,48 @@ pub fn spawn_replication_listener(
     let addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;
     let accept_stop = Arc::clone(&stop);
-    let followers = Arc::new(AtomicI64::new(0));
+    let metrics: Arc<Vec<ServeMetrics>> = Arc::new(
+        (0..shards.len())
+            .map(|i| shards.lock(i).metrics.clone())
+            .collect(),
+    );
     let handle = std::thread::spawn(move || {
-        let mut streams: Vec<JoinHandle<()>> = Vec::new();
-        loop {
-            if accept_stop.load(Ordering::SeqCst) {
-                break;
-            }
-            match listener.accept() {
-                Ok((stream, peer)) => {
-                    trout_obs::log_info!("serve", "replication follower connected from {peer}");
-                    let shards = Arc::clone(&shards);
-                    let dir = state_dir.clone();
-                    let stop = Arc::clone(&accept_stop);
-                    let followers = Arc::clone(&followers);
-                    streams.push(std::thread::spawn(move || {
-                        let metrics: Vec<ServeMetrics> = (0..shards.len())
-                            .map(|i| shards.lock(i).metrics.clone())
-                            .collect();
-                        let n = followers.fetch_add(1, Ordering::SeqCst) + 1;
-                        for m in &metrics {
-                            m.replication_followers.set(n as f64);
-                        }
-                        if let Err(e) = stream_to_follower(&shards, &dir, &metrics, stream, &stop) {
-                            trout_obs::log_warn!(
-                                "serve",
-                                "replication stream to {peer} ended: {e}"
-                            );
-                        }
-                        let n = followers.fetch_sub(1, Ordering::SeqCst) - 1;
-                        for m in &metrics {
-                            m.replication_followers.set(n as f64);
-                        }
-                    }));
+        let mut streams = {
+            let metrics = Arc::clone(&metrics);
+            ConnThreads::new(move |n| {
+                for m in metrics.iter() {
+                    m.replication_followers.set(n as f64);
                 }
+            })
+        };
+        let mut backoff = AcceptBackoff::default();
+        while !accept_stop.load(Ordering::SeqCst) {
+            let (stream, peer) = match listener.accept() {
+                Ok(accepted) => accepted,
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     std::thread::sleep(Duration::from_millis(TAIL_POLL_MS));
+                    continue;
                 }
-                Err(e) => {
-                    trout_obs::log_warn!("serve", "replication accept error: {e}");
-                    std::thread::sleep(Duration::from_millis(TAIL_POLL_MS));
+                Err(e) => match backoff.on_error(&metrics[0], e) {
+                    Ok(()) => continue,
+                    // Fatal, and already logged: stop accepting, keep
+                    // serving the followers already connected.
+                    Err(_) => break,
+                },
+            };
+            backoff.on_success(&metrics[0]);
+            trout_obs::log_info!("serve", "replication follower connected from {peer}");
+            let shards = Arc::clone(&shards);
+            let dir = state_dir.clone();
+            let stop = Arc::clone(&accept_stop);
+            let metrics = Arc::clone(&metrics);
+            streams.spawn(move || {
+                if let Err(e) = stream_to_follower(&shards, &dir, &metrics, stream, &stop) {
+                    trout_obs::log_warn!("serve", "replication stream to {peer} ended: {e}");
                 }
-            }
+            });
         }
-        for h in streams {
-            let _ = h.join();
-        }
+        streams.drain();
     });
     Ok(ReplicationListener { stop, handle, addr })
 }

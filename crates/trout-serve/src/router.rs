@@ -1,6 +1,6 @@
 //! The router session: one client's request stream against a [`ShardSet`].
 //!
-//! Every transport (stdin, thread-per-connection TCP, the reactor) drives a
+//! Every transport (stdin and thread-per-connection TCP) drives a
 //! [`RouterSession`] per client. The session queues predicts into per-shard
 //! queues, remembering each query's **position** in the coalesced window; a
 //! flush fans out one `predict_batch` per non-empty shard queue and re-pairs
@@ -13,12 +13,12 @@
 //! [`AdmissionControl`](crate::scheduler::AdmissionControl) on arrival — a
 //! shed becomes a pre-resolved window slot answered with a typed
 //! `overloaded` + `retry_after_ms` *at flush time*, preserving strict
-//! request-order responses. Admitted predicts carry their latency budget;
-//! [`RouterSession::due_at`] tells deadline-aware transports (the reactor)
-//! how long the window may keep coalescing before the tightest deadline,
-//! minus the estimated drain time, forces a flush. At flush, each shard's
-//! batch executes in (priority-lane rank, arrival) order — urgent first —
-//! which is byte-safe because inference is row-independent.
+//! request-order responses. Admitted predicts carry their latency budget,
+//! which the flush checks for SLO accounting. A window flushes at the batch
+//! cap, at any non-predict line, or when the transport's reader drains —
+//! never later, so no answer is held while its client waits. At flush, each
+//! shard's batch executes in (priority-lane rank, arrival) order — urgent
+//! first — which is byte-safe because inference is row-independent.
 //!
 //! Lifecycle events broadcast to every shard in shard order (see the
 //! [`shard`](crate::shard) module docs for why). The response comes from
@@ -52,7 +52,7 @@ const TRACE_ID_SEED: u64 = 0x7472_6f75_745f_7472; // "trout_tr"
 
 /// How many recent traces an error-triggered flight-recorder dump emits
 /// per shard (bounded so a shed storm cannot flood stderr).
-const FLIGHT_DUMP_LAST: usize = 8;
+pub(crate) const FLIGHT_DUMP_LAST: usize = 8;
 
 /// What the transport should do after a handled line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,8 +134,7 @@ enum Slot {
 }
 
 /// Per-client routing state: per-shard predict queues, the coalescing
-/// window position counter, pre-resolved shed slots, and the tightest
-/// deadline currently queued.
+/// window position counter, and pre-resolved shed slots.
 pub struct RouterSession {
     per_shard: Vec<Vec<QueuedPredict>>,
     /// Window positions issued (admitted + shed) — the response count a
@@ -146,11 +145,6 @@ pub struct RouterSession {
     /// Pre-resolved shed positions: `(pos, retry_after_ms)`.
     shed: Vec<(usize, u64)>,
     batch_max: usize,
-    /// Earliest absolute deadline (µs) among queued predicts.
-    min_deadline_us: u64,
-    /// Whether any queued predict came from a v1 client. v1 clients predate
-    /// deadline-holding, so their windows stay due-on-drain (PR 6 timing).
-    has_v1: bool,
     /// Hermetic per-session trace-id stream (DESIGN §14).
     rng: SplitMix64,
     /// One flight-recorder dump per session per trigger class, so a
@@ -169,8 +163,6 @@ impl RouterSession {
             queued: 0,
             shed: Vec::new(),
             batch_max: batch_max.max(1),
-            min_deadline_us: u64::MAX,
-            has_v1: false,
             rng: SplitMix64::new(TRACE_ID_SEED),
             shed_dumped: false,
             protocol_dumped: false,
@@ -187,44 +179,10 @@ impl RouterSession {
         self.window
     }
 
-    /// The absolute instant (µs on the set's clock) the current window must
-    /// flush: the tightest queued deadline minus the estimated time to
-    /// drain the queue, so the last prediction still lands inside its
-    /// budget. `None` when nothing is pending. Windows holding a shed (owed
-    /// an answer now) or any v1 predict (pre-deadline clients keep PR 6
-    /// flush-on-drain timing) are due immediately.
-    pub fn due_at(&self, shards: &ShardSet) -> Option<u64> {
-        if self.window == 0 {
-            return None;
-        }
-        if !self.shed.is_empty() || self.has_v1 {
-            return Some(0);
-        }
-        let drain = (self.queued as u64).saturating_mul(shards.scheduler().est_predict_us);
-        Some(self.min_deadline_us.saturating_sub(drain))
-    }
-
-    /// Flushes when [`RouterSession::due_at`] has arrived on the set's
-    /// clock. Returns whether a flush happened.
-    pub fn flush_if_due<W: Write>(
-        &mut self,
-        shards: &ShardSet,
-        out: &mut W,
-    ) -> Result<bool, TroutError> {
-        match self.due_at(shards) {
-            Some(t) if shards.clock().now_micros() >= t => {
-                self.flush(shards, out)?;
-                Ok(true)
-            }
-            _ => Ok(false),
-        }
-    }
-
     /// Handles one non-empty request line: queues a predict (flushing at the
     /// batch cap), or flushes then applies/answers anything else. Responses
-    /// are written to `out` but not flushed to the OS — transports flush
-    /// when their write boundary arrives (end of readable burst, end of
-    /// line loop).
+    /// are written to `out` but not flushed to the OS — the transport
+    /// flushes when its reader drains.
     pub fn handle_line<W: Write>(
         &mut self,
         shards: &ShardSet,
@@ -273,9 +231,6 @@ impl RouterSession {
                             trace_id: if trace { self.rng.next_u64() } else { 0 },
                             parse_us: now.saturating_sub(accept_us),
                         });
-                        self.min_deadline_us =
-                            self.min_deadline_us.min(now.saturating_add(budget_us));
-                        self.has_v1 |= !v2;
                         self.window += 1;
                         self.queued += 1;
                         if self.queued >= self.batch_max {
@@ -496,8 +451,6 @@ impl RouterSession {
         }
         self.window = 0;
         self.queued = 0;
-        self.min_deadline_us = u64::MAX;
-        self.has_v1 = false;
         Ok(())
     }
 }

@@ -1,14 +1,13 @@
 //! The SLO scheduler: latency-budget algebra and admission control.
 //!
-//! PRs 1–6 flushed the predict micro-batch on the next non-predict line —
-//! batch fill was an accident of client interleaving. This module gives the
-//! batch former an explicit policy (DESIGN §12):
+//! The predict micro-batch flushes at the batch cap, at a non-predict line,
+//! or when the session's reader drains, so no answer waits on a window its
+//! client cannot see. This module supplies the policy around that window
+//! (DESIGN §12):
 //!
 //! * every predict carries a **latency budget** — explicit `deadline_ms`
-//!   from a v2 client, or its lane's configured default — fixing an
-//!   absolute flush deadline at admission;
-//! * the batch former holds execution until the **tightest deadline in the
-//!   queue** forces a flush, maximizing batch fill under the budget;
+//!   from a v2 client, or its lane's configured default — against which
+//!   the flush counts SLO violations;
 //! * when a lane's queued depth already exceeds what its budget can absorb,
 //!   the **admission controller** sheds the request with a typed
 //!   [`TroutError::Overloaded`](trout_core::TroutError) carrying
@@ -24,7 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use trout_core::{Deadline, Lane};
 
-/// Tunables for the batch former and admission controller. One instance is
+/// Tunables for the latency budgets and the admission controller. One instance is
 /// shared by every session of a [`ShardSet`](crate::ShardSet).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedulerConfig {
@@ -33,9 +32,8 @@ pub struct SchedulerConfig {
     /// `deadline_ms`.
     pub default_deadline_ms: [u64; 3],
     /// Configured cost estimate of one prediction, microseconds. Drives
-    /// both the hold-time calculation (how long the former may keep
-    /// coalescing before the tightest deadline is at risk) and the
-    /// admission threshold (how much queued work a budget can absorb).
+    /// the admission threshold (how much queued work a budget can absorb)
+    /// and the `retry_after_ms` a shed carries.
     pub est_predict_us: u64,
 }
 

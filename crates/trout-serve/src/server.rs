@@ -1,8 +1,8 @@
-//! Blocking transports: line-delimited JSON over stdin/stdout or
-//! thread-per-connection `std::net` TCP. (The nonblocking multi-connection
-//! transport lives in [`reactor`](crate::reactor).)
+//! The transports: line-delimited JSON over stdin/stdout or
+//! thread-per-connection `std::net` TCP — one blocking session loop
+//! ([`run_session`]) per client either way.
 //!
-//! Both feed the same [`RouterSession`] loop against a [`ShardSet`]. Predict
+//! Each session drives a [`RouterSession`] against a [`ShardSet`]. Predict
 //! requests are **micro-batched**: they queue until a non-predict line
 //! arrives, the batch cap is hit, or the reader's buffer drains (no complete
 //! request line left — the client is waiting), then flush through one
@@ -21,12 +21,15 @@
 //!
 //! Sessions are fault-isolated from each other. Every engine lock goes
 //! through the shard set's poison-recovering lock — one crashed session must
-//! not take down every other session sharing the engines. [`run_tcp`] reaps
-//! finished session threads on each accept (a long-lived daemon must not
-//! accumulate one `JoinHandle` per connection it ever served), and a
-//! session's terminal error is recorded against shard 0's metrics by the
-//! session thread itself, so client disconnects and half-open sockets show
-//! up in `errors_by_class` rather than vanishing with the thread.
+//! not take down every other session sharing the engines. A request line is
+//! capped at [`LINE_MAX`] bytes, so a client streaming bytes without a
+//! newline costs its session, not the daemon's memory. A client that stops
+//! reading blocks only its own thread, in `write`, once the kernel's socket
+//! buffers fill: that is the whole backpressure story. A session's terminal
+//! error is recorded against shard 0's metrics by the session thread
+//! itself, so client disconnects and half-open sockets show up in
+//! `errors_by_class` rather than vanishing with the thread. Session threads
+//! are tracked by [`ConnThreads`], which the replication listener shares.
 //!
 //! Accept errors are **classified**, not blanket-tolerated: fd exhaustion
 //! (`EMFILE`/`ENFILE`) backs off exponentially with a counter + gauge —
@@ -37,18 +40,19 @@
 
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::TcpListener;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use trout_core::TroutError;
 
 use crate::metrics::ServeMetrics;
-use crate::router::{Flow, RouterSession};
+use crate::protocol::error_response;
+use crate::router::{Flow, RouterSession, FLIGHT_DUMP_LAST};
 use crate::shard::ShardSet;
 
 /// Hard ceiling on coalesced batch size when the caller passes 0.
-pub(crate) const DEFAULT_BATCH_MAX: usize = 64;
+const DEFAULT_BATCH_MAX: usize = 64;
 
 /// Egress buffer cap (bytes): a session's unsent responses are pushed once
 /// the next one would pass it, so a client that pipelines without reading
@@ -115,11 +119,11 @@ pub fn classify_accept_error(e: &std::io::Error) -> AcceptDisposition {
     }
 }
 
-/// Exponential accept backoff state shared by [`run_tcp`] and the reactor's
-/// acceptor. Successful accepts reset it; `EMFILE`-class errors double the
-/// delay (10 ms … 1 s), count it, and expose the current delay as a gauge so
-/// an operator watching `trout_serve_accept_backoff_ms` sees fd exhaustion
-/// as it happens rather than post-mortem from logs.
+/// Exponential accept backoff state shared by [`run_tcp`] and the
+/// replication listener. Successful accepts reset it; `EMFILE`-class errors
+/// double the delay (10 ms … 1 s), count it, and expose the current delay
+/// as a gauge so an operator watching `trout_serve_accept_backoff_ms` sees
+/// fd exhaustion as it happens rather than post-mortem from logs.
 ///
 /// The per-retry delay is clamped at [`Self::MAX_MS`], and the *streak* —
 /// total time slept across consecutive exhaustion errors — is tracked
@@ -212,6 +216,12 @@ impl AcceptBackoff {
     }
 }
 
+/// Longest request line a session accepts, in bytes before its newline. A
+/// longer line ends the session with a `protocol` error: a client streaming
+/// bytes without a newline would otherwise grow the line buffer until the
+/// daemon runs out of memory.
+pub const LINE_MAX: usize = 1 << 20;
+
 /// Runs one client session to completion (EOF or `shutdown`). Returns the
 /// number of request lines handled. Responses go to `out` through the
 /// session's [`egress`] barrier.
@@ -233,10 +243,18 @@ pub fn run_session<R: Read, W: Write>(
     let mut handled = 0u64;
     loop {
         line.clear();
-        if reader.read_line(&mut line)? == 0 {
+        // Through `Take`, one read holds at most LINE_MAX bytes plus the
+        // newline; a line that fills it without a newline is an overflow.
+        let n = (&mut reader)
+            .take(LINE_MAX as u64 + 1)
+            .read_line(&mut line)?;
+        if n == 0 {
             session.flush(shards, &mut out)?;
             out.flush()?;
             break;
+        }
+        if n > LINE_MAX && !line.ends_with('\n') {
+            return Err(line_overflow(shards, &mut session, &mut out));
         }
         let trimmed = line.trim();
         if !trimmed.is_empty() {
@@ -249,15 +267,34 @@ pub fn run_session<R: Read, W: Write>(
         // No complete request line buffered: the next read may block, so
         // the client is presumably waiting on the answers. Flush pending
         // window positions (queued predicts and resolved sheds), then push
-        // every buffered response through the commit barrier. The blocking
-        // transports stay due-on-drain for every request — deadline-holding
-        // is the reactor's refinement (DESIGN §12).
+        // every buffered response through the commit barrier.
         if !reader.buffer().contains(&b'\n') {
             session.flush(shards, &mut out)?;
             out.flush()?;
         }
     }
     Ok(handled)
+}
+
+/// Ends a session whose request line passed [`LINE_MAX`]: dumps the flight
+/// recorder, answers the pending window and then the overflow itself with
+/// the typed error, and returns that error for the transport to record.
+fn line_overflow<W: Write>(
+    shards: &ShardSet,
+    session: &mut RouterSession,
+    out: &mut W,
+) -> TroutError {
+    let e = TroutError::Protocol(format!(
+        "request line exceeded {LINE_MAX} bytes without a newline"
+    ));
+    shards.flight_dump("line_overflow", FLIGHT_DUMP_LAST);
+    // Best effort: the session ends either way, and a flooding client may
+    // not be reading.
+    let _ = session.flush(shards, out).and_then(|()| {
+        writeln!(out, "{}", error_response(&e))?;
+        Ok(out.flush()?)
+    });
+    e
 }
 
 /// Serves the shard set over stdin/stdout until EOF or `shutdown`, then
@@ -271,26 +308,94 @@ pub fn run_stdin(shards: ShardSet, batch_max: usize) -> Result<u64, TroutError> 
     Ok(handled)
 }
 
-/// Joins a finished (or draining) session thread. Session errors were
-/// already recorded and logged by the thread itself; only a panic still
-/// needs reporting here.
-fn join_session(handle: JoinHandle<Result<u64, TroutError>>) {
-    if handle.join().is_err() {
-        trout_obs::log_error!("serve", "session thread panicked");
+/// The threads one listener spawns, one per connection. Finished threads
+/// are joined at every spawn, so a listener never holds one handle per
+/// connection it ever served. Each thread lowers a shared live count as it
+/// ends (panics included); `report` sees every change under the lock that
+/// orders them, so a gauge fed from it drops when a connection ends.
+pub(crate) struct ConnThreads {
+    handles: Vec<JoinHandle<()>>,
+    live: Arc<Live>,
+}
+
+struct Live {
+    count: Mutex<usize>,
+    report: Box<dyn Fn(usize) + Send + Sync>,
+}
+
+impl Live {
+    fn change(&self, started: bool) {
+        // A panic cannot interrupt the one-step update below, so a poisoned
+        // count is still exact.
+        let mut n = self.count.lock().unwrap_or_else(PoisonError::into_inner);
+        *n = if started { *n + 1 } else { *n - 1 };
+        (self.report)(*n);
     }
 }
 
-/// Joins every finished session thread, keeping only live ones. Called on
-/// each accept so the handle list tracks concurrency, not connection
-/// history — a daemon that served a million sequential clients holds one
-/// pending handle, not a million.
-fn reap_finished(handles: &mut Vec<JoinHandle<Result<u64, TroutError>>>) {
-    let mut i = 0;
-    while i < handles.len() {
-        if handles[i].is_finished() {
-            join_session(handles.swap_remove(i));
-        } else {
-            i += 1;
+/// Counts its connection thread out when the thread ends, unwinding
+/// included.
+struct Ended(Arc<Live>);
+
+impl Drop for Ended {
+    fn drop(&mut self) {
+        self.0.change(false);
+    }
+}
+
+/// Joins one connection thread. The thread recorded its own errors; only a
+/// panic still needs reporting here.
+fn join_conn(handle: JoinHandle<()>) {
+    if handle.join().is_err() {
+        trout_obs::log_error!("serve", "connection thread panicked");
+    }
+}
+
+impl ConnThreads {
+    /// No threads yet; `report` receives every later live count.
+    pub(crate) fn new(report: impl Fn(usize) + Send + Sync + 'static) -> ConnThreads {
+        ConnThreads {
+            handles: Vec::new(),
+            live: Arc::new(Live {
+                count: Mutex::new(0),
+                report: Box::new(report),
+            }),
+        }
+    }
+
+    /// Joins the finished threads, then runs `serve` on a new one, counted
+    /// live until it returns. Returns false, with a warning logged, if the
+    /// thread cannot start: `serve` is then dropped unrun (closing its
+    /// connection) and the count restored.
+    pub(crate) fn spawn(&mut self, serve: impl FnOnce() + Send + 'static) -> bool {
+        let mut i = 0;
+        while i < self.handles.len() {
+            if self.handles[i].is_finished() {
+                join_conn(self.handles.swap_remove(i));
+            } else {
+                i += 1;
+            }
+        }
+        self.live.change(true);
+        let ended = Ended(Arc::clone(&self.live));
+        let spawned = std::thread::Builder::new().spawn(move || {
+            let _ended = ended;
+            serve();
+        });
+        match spawned {
+            Ok(handle) => self.handles.push(handle),
+            Err(e) => {
+                trout_obs::log_warn!("serve", "could not start a connection thread: {e}");
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Waits for every spawned thread to end.
+    pub(crate) fn drain(self) {
+        for handle in self.handles {
+            join_conn(handle);
         }
     }
 }
@@ -298,8 +403,7 @@ fn reap_finished(handles: &mut Vec<JoinHandle<Result<u64, TroutError>>>) {
 /// Serves the shard set over TCP, one thread per connection, all
 /// connections sharing the shards. `max_conns` bounds how many connections
 /// are accepted before returning (`None` = serve forever). On return,
-/// in-flight sessions are drained (joined) and buffered journal appends are
-/// synced.
+/// in-flight sessions are drained and buffered journal appends are synced.
 pub fn run_tcp(
     shards: Arc<ShardSet>,
     listener: TcpListener,
@@ -307,7 +411,13 @@ pub fn run_tcp(
     max_conns: Option<usize>,
 ) -> Result<(), TroutError> {
     let metrics = shards.metrics0();
-    let mut handles: Vec<JoinHandle<Result<u64, TroutError>>> = Vec::new();
+    let mut sessions = {
+        let m = metrics.clone();
+        ConnThreads::new(move |live| {
+            m.sessions_live.set(live as f64);
+            m.sessions_live_peak.set_max(live as f64);
+        })
+    };
     let mut backoff = AcceptBackoff::default();
     let mut accepted = 0usize;
     for stream in listener.incoming() {
@@ -322,36 +432,29 @@ pub fn run_tcp(
         if let Err(e) = stream.set_nodelay(true) {
             trout_obs::log_warn!("serve", "could not set TCP_NODELAY on a session: {e}");
         }
-        reap_finished(&mut handles);
         let session_shards = Arc::clone(&shards);
-        handles.push(std::thread::spawn(move || {
+        let spawned = sessions.spawn(move || {
             let result = stream
                 .try_clone()
                 .map_err(TroutError::from)
                 .and_then(|reader| run_session(&session_shards, reader, stream, batch_max));
-            if let Err(e) = &result {
+            if let Err(e) = result {
                 // The session is this error's only observer — record it
                 // before the thread (and the error) disappears.
-                session_shards.metrics0().record_error(e);
+                session_shards.metrics0().record_error(&e);
                 trout_obs::log_warn!("serve", "session ended with error: {e}");
             }
-            result
-        }));
-        metrics.sessions_total.inc();
-        let live = handles.len() as f64;
-        metrics.sessions_live.set(live);
-        if live > metrics.sessions_live_peak.get() {
-            metrics.sessions_live_peak.set(live);
+        });
+        if !spawned {
+            continue;
         }
+        metrics.sessions_total.inc();
         accepted += 1;
         if max_conns.is_some_and(|m| accepted >= m) {
             break;
         }
     }
-    for h in handles {
-        join_session(h);
-    }
-    metrics.sessions_live.set(0.0);
+    sessions.drain();
     shards.sync_journals()?;
     Ok(())
 }
@@ -450,6 +553,36 @@ mod tests {
         assert!(!b.ceiling_warned);
         let crossed_again = (0..100).any(|_| b.note_backoff().1);
         assert!(crossed_again, "a fresh streak can cross the ceiling again");
+    }
+
+    /// The thread-leak regression both listeners share: sequential
+    /// connections leave at most a couple of handles held, not one per
+    /// connection, and every thread is counted out as it ends — a panicking
+    /// one included.
+    #[test]
+    fn conn_threads_join_finished_threads_and_count_live_ones() {
+        let counts = Arc::new(Mutex::new(Vec::new()));
+        let mut threads = {
+            let counts = Arc::clone(&counts);
+            ConnThreads::new(move |n| counts.lock().unwrap().push(n))
+        };
+        let ended = |counts: &Mutex<Vec<usize>>| counts.lock().unwrap().last() == Some(&0);
+        for k in 0..12 {
+            assert!(threads.spawn(move || assert!(k != 5, "injected connection panic")));
+            assert!(
+                threads.handles.len() <= 2,
+                "{} handles held after {} sequential connections",
+                threads.handles.len(),
+                k + 1
+            );
+            while !ended(&counts) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        threads.drain();
+        let counts = counts.lock().unwrap();
+        assert_eq!(counts.len(), 24, "one report per start and per end");
+        assert!(counts.iter().all(|&n| n <= 1), "{counts:?}");
     }
 
     #[test]

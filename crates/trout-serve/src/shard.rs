@@ -120,8 +120,8 @@ fn dump_flight_sink(reason: &str, shard: Option<usize>, sink: &TraceSink, last: 
     }
 }
 
-/// N independent engines, each behind its own mutex. All transports (stdin,
-/// thread-per-connection TCP, the reactor) share one `ShardSet`, and with it
+/// N independent engines, each behind its own mutex. Every session (stdin
+/// or one per TCP connection) shares one `ShardSet`, and with it
 /// the scheduler: one clock, one [`SchedulerConfig`], and one
 /// [`AdmissionControl`] whose lane depths are global across sessions — the
 /// budget a request competes for is the daemon's capacity, not one

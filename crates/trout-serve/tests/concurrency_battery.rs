@@ -1,9 +1,9 @@
-//! The deterministic concurrency battery for the sharded reactor.
+//! The deterministic concurrency battery for the sharded TCP daemon.
 //!
 //! Three invariants, each with its own test:
 //!
 //! 1. **Pairing** — a seeded in-process load generator drives hundreds of
-//!    simulated connections through the reactor at once; every connection
+//!    simulated connections through `run_tcp` at once; every connection
 //!    must get exactly one response per request, in request order, with
 //!    the right job id on every successful predict. Concurrency may
 //!    interleave *engine state* arbitrarily; it must never interleave one
@@ -27,7 +27,7 @@ use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use trout_serve::{run_reactor, run_session, ReactorConfig, ServeConfig, ShardSet};
+use trout_serve::{run_session, run_tcp, ServeConfig, ShardSet};
 use trout_slurmsim::SimulationBuilder;
 use trout_std::json::Json;
 use trout_std::rng::SplitMix64;
@@ -150,8 +150,8 @@ fn client_script(conn_id: u64) -> (String, Vec<Expect>) {
     (script, expect)
 }
 
-/// Battery invariant 1: hundreds of concurrent connections through the
-/// reactor, every one strictly 1:1 paired in request order.
+/// Battery invariant 1: hundreds of concurrent connections, one session
+/// thread each, every one strictly 1:1 paired in request order.
 #[test]
 fn load_generator_pairs_every_connection_one_to_one() {
     const CONNS: usize = 200;
@@ -160,18 +160,7 @@ fn load_generator_pairs_every_connection_one_to_one() {
     let shards = Arc::new(ShardSet::bootstrap(4, 150, &cfg(0)));
     let server = {
         let shards = Arc::clone(&shards);
-        std::thread::spawn(move || {
-            run_reactor(
-                shards,
-                listener,
-                ReactorConfig {
-                    threads: 4,
-                    batch_max: 8,
-                    max_conns: Some(CONNS),
-                },
-            )
-            .unwrap();
-        })
+        std::thread::spawn(move || run_tcp(shards, listener, 8, Some(CONNS)).unwrap())
     };
 
     std::thread::scope(|s| {

@@ -10,9 +10,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use trout_serve::server::EGRESS_CAP;
-use trout_serve::{
-    replay_script, run_reactor, run_session, run_tcp, ReactorConfig, ServeConfig, ShardSet,
-};
+use trout_serve::{replay_script, run_session, run_tcp, ServeConfig, ShardSet};
 use trout_slurmsim::SimulationBuilder;
 
 fn state_dir(name: &str) -> PathBuf {
@@ -194,72 +192,55 @@ fn pipelined_predicts_never_grow_the_egress_buffer_past_its_cap() {
     );
 }
 
-/// Both TCP transports: once a client holds the ack of every line it sent,
-/// every journal is synced up to its position — the ack could not have left
+/// Over TCP: once a client holds the ack of every line it sent, every
+/// journal is synced up to its position — the ack could not have left
 /// before the fsync. Checked while the session is still open, before the
 /// clean-shutdown sync could cover for a missing commit.
 #[test]
-fn tcp_acks_are_durable_on_both_transports() {
+fn tcp_acks_are_durable_before_they_leave() {
     let live = SimulationBuilder::anvil_like().jobs(60).seed(9).run();
     let script: Vec<String> = replay_script(&live, 2)
         .lines()
         .filter(|l| !l.contains("\"metrics\"") && !l.contains("\"shutdown\""))
         .map(str::to_string)
         .collect();
-    for reactor in [false, true] {
-        let shards = Arc::new(shardset(2));
-        let dir = state_dir(if reactor {
-            "tcp_reactor"
-        } else {
-            "tcp_threaded"
-        });
-        shards.open_state_dir(&dir, 0, false).unwrap();
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = {
-            let shards = Arc::clone(&shards);
-            std::thread::spawn(move || {
-                if reactor {
-                    let cfg = ReactorConfig {
-                        threads: 1,
-                        max_conns: Some(1),
-                        ..Default::default()
-                    };
-                    run_reactor(shards, listener, cfg).unwrap();
-                } else {
-                    run_tcp(shards, listener, 32, Some(1)).unwrap();
-                }
-            })
-        };
-        let mut conn = TcpStream::connect(addr).unwrap();
-        let mut reader = BufReader::new(conn.try_clone().unwrap());
-        let mut line = String::new();
-        for window in script.chunks(32) {
-            let burst: String = window.iter().map(|l| format!("{l}\n")).collect();
-            conn.write_all(burst.as_bytes()).unwrap();
-            for _ in window {
-                line.clear();
-                reader.read_line(&mut line).unwrap();
-                assert!(line.contains("\"ok\":true"), "{line}");
-            }
+    let shards = Arc::new(shardset(2));
+    let dir = state_dir("tcp");
+    shards.open_state_dir(&dir, 0, false).unwrap();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = {
+        let shards = Arc::clone(&shards);
+        std::thread::spawn(move || run_tcp(shards, listener, 32, Some(1)).unwrap())
+    };
+    let mut conn = TcpStream::connect(addr).unwrap();
+    let mut reader = BufReader::new(conn.try_clone().unwrap());
+    let mut line = String::new();
+    for window in script.chunks(32) {
+        let burst: String = window.iter().map(|l| format!("{l}\n")).collect();
+        conn.write_all(burst.as_bytes()).unwrap();
+        for _ in window {
+            line.clear();
+            reader.read_line(&mut line).unwrap();
+            assert!(line.contains("\"ok\":true"), "{line}");
         }
-        for i in 0..shards.len() {
-            let g = shards.lock(i);
-            assert_eq!(
-                g.journal_synced(),
-                Some(g.journal_position()),
-                "reactor={reactor} shard {i}: an ack left before its fsync"
-            );
-            assert!(
-                g.metrics.journal_fsyncs_total.get() < g.metrics.journal_appends_total.get(),
-                "reactor={reactor} shard {i}: no group commit"
-            );
-        }
-        conn.write_all(b"{\"event\":\"shutdown\"}\n").unwrap();
-        line.clear();
-        reader.read_line(&mut line).unwrap();
-        assert!(line.contains("shutdown"), "{line}");
-        server.join().unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
     }
+    for i in 0..shards.len() {
+        let g = shards.lock(i);
+        assert_eq!(
+            g.journal_synced(),
+            Some(g.journal_position()),
+            "shard {i}: an ack left before its fsync"
+        );
+        assert!(
+            g.metrics.journal_fsyncs_total.get() < g.metrics.journal_appends_total.get(),
+            "shard {i}: no group commit"
+        );
+    }
+    conn.write_all(b"{\"event\":\"shutdown\"}\n").unwrap();
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("shutdown"), "{line}");
+    server.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -5,7 +5,7 @@
 //! **byte-identical** to the leader's at the follower's watermark — the
 //! same oracle the crash-recovery tests use.
 
-use std::net::TcpListener;
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -386,4 +386,45 @@ fn follower_catch_up_group_commits_fewer_fsyncs_than_entries() {
     );
     let _ = std::fs::remove_dir_all(&ldir);
     let _ = std::fs::remove_dir_all(&fdir);
+}
+
+/// The replication listener's thread accounting, the twin of
+/// `tcp_faults::sequential_sessions_keep_the_live_handle_count_bounded`:
+/// each follower that leaves is counted out as its stream thread ends, so
+/// the `followers` gauge returns to 0 between sequential followers. The
+/// acceptor polls a nonblocking listener; an idle poll is not an accept
+/// error and must not be counted as one.
+#[test]
+fn sequential_followers_are_counted_out_as_they_leave() {
+    const FOLLOWERS: usize = 12;
+    let leader = Arc::new(shardset(2));
+    let ldir = state_dir("sequential_leader");
+    leader.open_state_dir(&ldir, 0, false).unwrap();
+    let hub = spawn_replication_listener(
+        Arc::clone(&leader),
+        ldir.clone(),
+        TcpListener::bind("127.0.0.1:0").unwrap(),
+    )
+    .unwrap();
+    let followers = |i: usize| leader.lock(i).metrics.replication_followers.get();
+    for _ in 0..FOLLOWERS {
+        let conn = TcpStream::connect(hub.addr()).unwrap();
+        wait_for("the stream thread to start", 10, || {
+            followers(0) == 1.0 && followers(1) == 1.0
+        });
+        // No hello: the stream thread reads EOF and ends.
+        drop(conn);
+        wait_for("the follower to be counted out", 10, || {
+            followers(0) == 0.0 && followers(1) == 0.0
+        });
+    }
+    hub.stop();
+    let m = leader.metrics0();
+    assert_eq!(
+        m.accept_transient_total.get(),
+        0,
+        "idle polls are not errors"
+    );
+    assert_eq!(m.accept_backoffs_total.get(), 0);
+    let _ = std::fs::remove_dir_all(&ldir);
 }

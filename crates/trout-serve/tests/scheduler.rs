@@ -1,11 +1,12 @@
 //! Deterministic battery for the v2 scheduling layer (DESIGN §12):
-//! deadline-held coalescing windows, priority-lane flush order, admission
-//! control, and the v1 compatibility contract.
+//! priority-lane flush order, admission control, and the v1 compatibility
+//! contract.
 //!
 //! Every test drives the same [`RouterSession`] the transports use, against
 //! a [`ShardSet`] whose clock is a [`ManualClock`] — time moves only when a
-//! test says so, which makes hold/flush decisions (and therefore response
-//! byte streams) reproducible on any machine at any load.
+//! test says so, which makes admission decisions and SLO accounting (and
+//! therefore response byte streams) reproducible on any machine at any
+//! load.
 
 use std::sync::Arc;
 
@@ -59,82 +60,6 @@ fn v2_predict(id: u64, time: i64, lane: &str, deadline_ms: Option<u64>) -> Strin
 
 fn v1_predict(id: u64, time: i64) -> String {
     format!("{{\"event\":\"predict\",\"id\":{id},\"time\":{time}}}")
-}
-
-#[test]
-fn pure_v2_window_holds_until_the_deadline_forces_a_flush() {
-    let (set, clock, recs) = manual_set(1, SchedulerConfig::default());
-    let mut session = RouterSession::new(set.len(), 64);
-    let mut out = Vec::new();
-    let t = recs[0].submit_time;
-    session
-        .handle_line(
-            &set,
-            &v2_predict(recs[0].id, t, "normal", Some(200)),
-            &mut out,
-        )
-        .unwrap();
-    session
-        .handle_line(
-            &set,
-            &v2_predict(recs[1].id, t, "normal", Some(500)),
-            &mut out,
-        )
-        .unwrap();
-    assert_eq!(session.pending(), 2);
-    // Tightest deadline is 200 ms out, minus the 2-query drain estimate
-    // (2 × est_predict_us): the window is due at 1_000_000 + 200_000 − 300.
-    assert_eq!(
-        session.due_at(&set),
-        Some(1_000_000 + 200_000 - 2 * set.scheduler().est_predict_us)
-    );
-    assert!(!session.flush_if_due(&set, &mut out).unwrap());
-    clock.advance(100_000);
-    assert!(
-        !session.flush_if_due(&set, &mut out).unwrap(),
-        "100 ms into a 200 ms budget the window keeps coalescing"
-    );
-    assert!(out.is_empty(), "no responses before the flush");
-    clock.advance(100_000);
-    assert!(session.flush_if_due(&set, &mut out).unwrap());
-    let text = String::from_utf8(out).unwrap();
-    let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), 2);
-    assert!(lines[0].contains(&format!("\"id\":{}", recs[0].id)));
-    assert!(lines[1].contains(&format!("\"id\":{}", recs[1].id)));
-    assert!(
-        lines[0].contains("\"lane\":\"normal\""),
-        "v2 responses echo the lane: {}",
-        lines[0]
-    );
-    assert_eq!(session.pending(), 0);
-}
-
-#[test]
-fn any_v1_predict_makes_the_window_due_immediately() {
-    let (set, _clock, recs) = manual_set(1, SchedulerConfig::default());
-    let mut session = RouterSession::new(set.len(), 64);
-    let mut out = Vec::new();
-    let t = recs[0].submit_time;
-    session
-        .handle_line(
-            &set,
-            &v2_predict(recs[0].id, t, "normal", Some(500)),
-            &mut out,
-        )
-        .unwrap();
-    assert_ne!(session.due_at(&set), Some(0), "pure v2 window is held");
-    session
-        .handle_line(&set, &v1_predict(recs[1].id, t), &mut out)
-        .unwrap();
-    assert_eq!(
-        session.due_at(&set),
-        Some(0),
-        "a v1 client predates deadline-holding; its window flushes on drain"
-    );
-    assert!(session.flush_if_due(&set, &mut out).unwrap());
-    let text = String::from_utf8(out).unwrap();
-    assert_eq!(text.lines().count(), 2);
 }
 
 #[test]
@@ -336,12 +261,12 @@ proptest_lite! {
             requests.push(((!ghost).then_some(id), v2));
             if rng.next_below(4) == 0 {
                 clock.advance(rng.next_below(200_000));
-                session.flush_if_due(&set, &mut out).unwrap();
+                session.flush(&set, &mut out).unwrap();
             }
         }
-        // No starvation: advancing past every budget drains the window.
+        // No starvation: the final flush drains the window.
         clock.advance(10_000_000);
-        session.flush_if_due(&set, &mut out).unwrap();
+        session.flush(&set, &mut out).unwrap();
         prop_assert_eq!(session.pending(), 0, "window drained");
 
         let text = String::from_utf8(out).unwrap();

@@ -24,7 +24,7 @@ use trout_serve::protocol::prediction_response;
 use trout_serve::server::egress;
 use trout_serve::{ServeConfig, ServeEngine, ShardSet};
 use trout_slurmsim::SimulationBuilder;
-use trout_std::alloc_count::CountingAllocator;
+use trout_std::alloc_count::{self, CountingAllocator};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::new();
@@ -113,6 +113,9 @@ fn steady_state_allocations(infer_f32: bool) -> u64 {
 
 #[test]
 fn steady_state_predict_is_allocation_free() {
+    // The counter is process-wide: every test in this binary holds the
+    // guard, so none allocates beside another's counted region.
+    let _serial = alloc_count::exclusive();
     // One thread keeps the (already sub-threshold) kernels serial, so the
     // thread-count env read never happens inside the counted region.
     std::env::set_var("TROUT_THREADS", "1");

@@ -15,11 +15,27 @@
 //! (or reads [`allocations`] directly). Only counting happens here — no
 //! interposition, no size tracking — so the overhead is one relaxed atomic
 //! increment per allocation.
+//!
+//! The counter is process-wide, and the test harness runs a binary's tests
+//! on parallel threads, so one test's setup would land in another test's
+//! count. Every test in a counting binary therefore holds [`exclusive`] for
+//! its whole body.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+static EXCLUSIVE: Mutex<()> = Mutex::new(());
+
+/// Serializes the tests of one binary: while a test holds the guard, no
+/// other test that also takes it allocates, so every region it counts sees
+/// only its own allocations. A failed (panicked) holder does not poison the
+/// lock for the tests after it.
+pub fn exclusive() -> MutexGuard<'static, ()> {
+    EXCLUSIVE.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Number of heap allocations (`alloc` + `realloc` calls) since process
 /// start, as seen by every installed [`CountingAllocator`]. Monotone;

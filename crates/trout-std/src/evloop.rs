@@ -1,47 +1,23 @@
-//! Minimal nonblocking event-loop substrate: `poll(2)` readiness,
-//! `O_NONBLOCK` via `fcntl(2)`, and a self-pipe waker — the primitives the
-//! serve reactor multiplexes hundreds of connections on.
-//!
-//! The hermetic-build policy rules out tokio/mio, and `std::net` only
-//! exposes `set_nonblocking` per socket — there is no portable readiness
-//! API in the standard library at all. This module supplies the missing
-//! piece through the thinnest possible libc FFI: three `extern "C"`
-//! declarations (`poll`, `fcntl`, `pipe`), the `pollfd` struct, and the
-//! handful of flag constants the reactor needs. Everything above this layer
-//! is safe Rust over `RawFd`s.
-//!
-//! Scope is deliberately Linux/Unix: `poll(2)` is POSIX and present on every
-//! platform this workspace targets. Scaling past a few thousand fds would
-//! want `epoll`, but `poll` keeps the FFI surface tiny and the per-iteration
-//! cost is linear in *registered* fds, which a sharded reactor keeps small
-//! per thread.
+//! `poll(2)` readiness through one libc declaration — the one readiness
+//! primitive the standard library does not expose. The hermetic-build
+//! policy rules out mio, and `std::net` offers only per-socket blocking
+//! reads, so a client that waits on several sockets at once (a load
+//! generator reading two connections) polls them here.
 
 use std::io;
 use std::os::unix::io::RawFd;
 
 /// Readable readiness (data, EOF, or a pending accept).
 pub const POLLIN: i16 = 0x001;
-/// Writable readiness (the send buffer has room again).
-pub const POLLOUT: i16 = 0x004;
-/// Error condition (revents only).
-pub const POLLERR: i16 = 0x008;
-/// Peer hung up (revents only).
-pub const POLLHUP: i16 = 0x010;
-/// Invalid fd (revents only — a bug in the caller's bookkeeping).
-pub const POLLNVAL: i16 = 0x020;
-
-const F_GETFL: i32 = 3;
-const F_SETFL: i32 = 4;
-const O_NONBLOCK: i32 = 0o4000;
 
 /// `struct pollfd` from `<poll.h>`, bit-compatible with the kernel ABI.
 #[repr(C)]
 #[derive(Debug, Clone, Copy)]
 pub struct PollFd {
     /// File descriptor to watch (negative entries are ignored by the
-    /// kernel — the idiom for a registered-but-muted slot).
+    /// kernel — the idiom for a muted slot).
     pub fd: RawFd,
-    /// Requested events ([`POLLIN`] | [`POLLOUT`]).
+    /// Requested events.
     pub events: i16,
     /// Returned events (filled by [`poll_fds`]).
     pub revents: i16,
@@ -56,35 +32,10 @@ impl PollFd {
             revents: 0,
         }
     }
-
-    /// Whether any requested or error condition fired.
-    pub fn ready(&self) -> bool {
-        self.revents != 0
-    }
-
-    /// Readable (or EOF/err, which reads also observe).
-    pub fn readable(&self) -> bool {
-        self.revents & (POLLIN | POLLHUP | POLLERR) != 0
-    }
-
-    /// Writable.
-    pub fn writable(&self) -> bool {
-        self.revents & POLLOUT != 0
-    }
-
-    /// Hard error or bookkeeping bug on this fd.
-    pub fn error(&self) -> bool {
-        self.revents & (POLLERR | POLLNVAL) != 0
-    }
 }
 
 extern "C" {
     fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
-    fn fcntl(fd: i32, cmd: i32, ...) -> i32;
-    fn pipe(fds: *mut i32) -> i32;
-    fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
-    fn write(fd: i32, buf: *const u8, count: usize) -> isize;
-    fn close(fd: i32) -> i32;
 }
 
 /// Blocks until at least one registered fd is ready (or `timeout_ms`
@@ -92,6 +43,8 @@ extern "C" {
 /// `revents`. `EINTR` retries transparently — a signal is not readiness.
 pub fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
     loop {
+        // SAFETY: `fds` is a live, exclusively borrowed slice of
+        // `#[repr(C)]` pollfd structs and `nfds` is its length.
         let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms) };
         if n >= 0 {
             return Ok(n as usize);
@@ -103,168 +56,29 @@ pub fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
     }
 }
 
-/// Sets `O_NONBLOCK` on any fd via `fcntl(F_GETFL/F_SETFL)` — works on
-/// sockets, pipes, anything, where `std` only covers its own socket types.
-pub fn set_nonblocking(fd: RawFd) -> io::Result<()> {
-    let flags = unsafe { fcntl(fd, F_GETFL) };
-    if flags < 0 {
-        return Err(io::Error::last_os_error());
-    }
-    if flags & O_NONBLOCK != 0 {
-        return Ok(());
-    }
-    if unsafe { fcntl(fd, F_SETFL, flags | O_NONBLOCK) } < 0 {
-        return Err(io::Error::last_os_error());
-    }
-    Ok(())
-}
-
-/// A self-pipe waker: the read end sits in a reactor thread's poll set, any
-/// other thread wakes it by writing one byte. Nonblocking on both ends so a
-/// burst of wakes can never block the waker (the pipe being full already
-/// guarantees a pending readiness event) and draining can never block the
-/// reactor.
-#[derive(Debug)]
-pub struct Waker {
-    read_fd: RawFd,
-    write_fd: RawFd,
-}
-
-// RawFds are just integers; the kernel serializes pipe reads/writes.
-unsafe impl Send for Waker {}
-unsafe impl Sync for Waker {}
-
-impl Waker {
-    /// Creates the pipe pair, both ends nonblocking.
-    pub fn new() -> io::Result<Waker> {
-        let mut fds = [0i32; 2];
-        if unsafe { pipe(fds.as_mut_ptr()) } < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        let (read_fd, write_fd) = (fds[0], fds[1]);
-        for fd in [read_fd, write_fd] {
-            if let Err(e) = set_nonblocking(fd) {
-                unsafe {
-                    close(read_fd);
-                    close(write_fd);
-                }
-                return Err(e);
-            }
-        }
-        Ok(Waker { read_fd, write_fd })
-    }
-
-    /// The fd to register with [`POLLIN`] in the reactor's poll set.
-    pub fn poll_fd(&self) -> RawFd {
-        self.read_fd
-    }
-
-    /// Wakes the poller. A full pipe means a wake is already pending, so
-    /// `EAGAIN` is success, not failure.
-    pub fn wake(&self) {
-        let byte = 1u8;
-        unsafe {
-            let _ = write(self.write_fd, &byte, 1);
-        }
-    }
-
-    /// Drains every pending wake byte (call once per readiness event).
-    pub fn drain(&self) {
-        let mut buf = [0u8; 64];
-        loop {
-            let n = unsafe { read(self.read_fd, buf.as_mut_ptr(), buf.len()) };
-            if n <= 0 {
-                break;
-            }
-        }
-    }
-}
-
-impl Drop for Waker {
-    fn drop(&mut self) {
-        unsafe {
-            close(self.read_fd);
-            close(self.write_fd);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{Read as _, Write as _};
+    use std::io::Write as _;
     use std::net::{TcpListener, TcpStream};
     use std::os::unix::io::AsRawFd;
 
     #[test]
-    fn waker_readiness_round_trip() {
-        let w = Waker::new().unwrap();
-        // Nothing pending: poll times out with zero ready slots.
-        let mut fds = [PollFd::new(w.poll_fd(), POLLIN)];
-        assert_eq!(poll_fds(&mut fds, 0).unwrap(), 0);
-        assert!(!fds[0].ready());
-
-        // A wake makes the read end readable; draining clears it.
-        w.wake();
-        w.wake(); // coalesces — still one readiness event
-        let mut fds = [PollFd::new(w.poll_fd(), POLLIN)];
-        assert_eq!(poll_fds(&mut fds, 1000).unwrap(), 1);
-        assert!(fds[0].readable());
-        w.drain();
-        let mut fds = [PollFd::new(w.poll_fd(), POLLIN)];
-        assert_eq!(poll_fds(&mut fds, 0).unwrap(), 0);
-    }
-
-    #[test]
-    fn nonblocking_socket_read_returns_would_block() {
+    fn poll_reports_readable_and_ignores_muted_slots() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = TcpStream::connect(addr).unwrap();
-        let (mut server, _) = listener.accept().unwrap();
-        set_nonblocking(server.as_raw_fd()).unwrap();
-
-        // Empty socket: the read must not block.
-        let mut buf = [0u8; 16];
-        let err = server.read(&mut buf).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::WouldBlock);
-
-        // Data arrives: poll reports readable, the read drains it.
-        let mut c = client;
-        c.write_all(b"hi").unwrap();
-        let mut fds = [PollFd::new(server.as_raw_fd(), POLLIN)];
-        assert_eq!(poll_fds(&mut fds, 1000).unwrap(), 1);
-        assert!(fds[0].readable());
-        assert_eq!(server.read(&mut buf).unwrap(), 2);
-        assert_eq!(&buf[..2], b"hi");
-    }
-
-    #[test]
-    fn poll_reports_writable_and_hup() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = TcpStream::connect(addr).unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (server, _) = listener.accept().unwrap();
 
-        // A fresh socket's send buffer is writable.
-        let mut fds = [PollFd::new(server.as_raw_fd(), POLLOUT)];
-        assert_eq!(poll_fds(&mut fds, 1000).unwrap(), 1);
-        assert!(fds[0].writable());
+        // Nothing sent yet: the poll times out with zero ready slots.
+        let mut fds = [
+            PollFd::new(-1, POLLIN),
+            PollFd::new(server.as_raw_fd(), POLLIN),
+        ];
+        assert_eq!(poll_fds(&mut fds, 0).unwrap(), 0);
 
-        // Peer closes: POLLIN fires (EOF is a read event).
-        drop(client);
-        let mut fds = [PollFd::new(server.as_raw_fd(), POLLIN)];
+        client.write_all(b"hi").unwrap();
         assert_eq!(poll_fds(&mut fds, 1000).unwrap(), 1);
-        assert!(fds[0].readable());
-    }
-
-    #[test]
-    fn negative_fd_slots_are_ignored() {
-        // The kernel idiom for muting a slot without reshuffling the array.
-        let w = Waker::new().unwrap();
-        w.wake();
-        let mut fds = [PollFd::new(-1, POLLIN), PollFd::new(w.poll_fd(), POLLIN)];
-        assert_eq!(poll_fds(&mut fds, 1000).unwrap(), 1);
-        assert!(!fds[0].ready());
-        assert!(fds[1].readable());
+        assert_eq!(fds[0].revents, 0, "a negative fd is never ready");
+        assert_ne!(fds[1].revents & POLLIN, 0);
     }
 }

@@ -19,8 +19,8 @@
 //!   `criterion`).
 //! * [`fsio`] — durable file I/O (atomic replace, torn-tail-safe appends)
 //!   backing the serve daemon's write-ahead journal and snapshots.
-//! * [`evloop`] — `poll(2)` readiness, `O_NONBLOCK`, and a self-pipe waker
-//!   through thin libc FFI (replaces tokio/mio for the serve reactor).
+//! * [`evloop`] — `poll(2)` readiness through one libc declaration, for
+//!   clients that wait on several sockets at once (replaces mio).
 //! * [`clock`] — injectable monotonic time ([`clock::Clock`]) with a
 //!   deterministic [`clock::ManualClock`], so scheduling decisions that
 //!   depend on time stay reproducible under test.
