@@ -8,6 +8,9 @@ cd "$(dirname "$0")"
 cargo build --workspace --release --offline
 cargo test --workspace -q --offline
 cargo fmt --check
+# Clippy at its default lint levels: warnings print, deny-by-default lints
+# (correctness) fail the gate.
+cargo clippy --offline --workspace --all-targets
 
 # SIMD tier matrix: the linalg kernel suite and the nn_seed7 golden fixture
 # must hold bit-for-bit under every dispatch tier. TROUT_SIMD clamps down to

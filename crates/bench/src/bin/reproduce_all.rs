@@ -31,7 +31,6 @@ fn main() {
         ("A10", e::a10_target),
         ("A11", e::a11_transfer),
         ("A12", e::a12_runtime_features),
-        ("A13", e::a13_packed_inference),
     ];
     let mut md = format!(
         "# Measured results (TROUT_JOBS={} TROUT_SEED={})\n\n",

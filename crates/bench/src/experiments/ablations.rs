@@ -387,110 +387,3 @@ pub fn a12_runtime_features(ctx: &Context) -> Report {
         ],
     }
 }
-
-/// A13 (extension): the packed inference path (DESIGN §13). Serving can
-/// opt into a packed forward pass (`--infer-f32`): batch norm folded into
-/// the dense weights, weights transposed for the SIMD-tiled kernels, and —
-/// in f32 mode — weights and activations narrowed. Folding and narrowing
-/// both reassociate, so packed output is near- but not bit-identical to
-/// the exact f64 path; the packed-f64 instantiation isolates the layout
-/// effect from the precision effect. This ablation measures the served
-/// deltas and the downstream metric movement on the held-out test window.
-pub fn a13_packed_inference(ctx: &Context) -> Report {
-    use trout_core::{BatchPredictionRequest, PackedHierarchical, PackedPredictScratch, Predictor};
-
-    let n = ctx.ds.len();
-    let test_start = n - n / 6;
-    let train: Vec<usize> = (0..test_start).collect();
-    let model = TroutTrainer::new(ctx.cfg.clone()).fit_rows(&ctx.ds, &train);
-    let test: Vec<usize> = (test_start..n).collect();
-    let (tx, ty) = ctx.ds.select(&test);
-
-    let exact = model.predict_batch(BatchPredictionRequest::with_minutes(&tx));
-    let packed_preds = |packed_is_f32: bool| {
-        let mut out = Vec::new();
-        if packed_is_f32 {
-            let packed = PackedHierarchical::<f32>::from_model(&model);
-            let mut s = PackedPredictScratch::new();
-            packed.predict_batch_into(&tx, true, &mut s, &mut out);
-        } else {
-            let packed = PackedHierarchical::<f64>::from_model(&model);
-            let mut s = PackedPredictScratch::new();
-            packed.predict_batch_into(&tx, true, &mut s, &mut out);
-        }
-        out
-    };
-
-    // Per-mode deltas against the exact path, plus the downstream metrics.
-    let labels: Vec<f32> = ty
-        .iter()
-        .map(|&q| if q < ctx.cfg.cutoff_min { 1.0 } else { 0.0 })
-        .collect();
-    let score = |preds: &[trout_core::QueuePrediction]| -> (f64, f64) {
-        let probs: Vec<f32> = preds.iter().map(|p| p.quick_proba).collect();
-        let acc = metrics::binary_accuracy(&probs, &labels);
-        let (mut ape, mut n_long) = (0.0f64, 0u32);
-        for (p, &truth) in preds.iter().zip(&ty) {
-            if truth >= ctx.cfg.cutoff_min {
-                if let Some(m) = p.minutes {
-                    ape += ((m - truth).abs() / truth.max(1.0)) as f64;
-                    n_long += 1;
-                }
-            }
-        }
-        (acc, 100.0 * ape / n_long.max(1) as f64)
-    };
-    let delta = |preds: &[trout_core::QueuePrediction]| -> (f64, f64, u32, f64) {
-        let (mut sum_dp, mut max_dp, mut flips, mut max_dm) = (0.0f64, 0.0f64, 0u32, 0.0f64);
-        for (e, p) in exact.iter().zip(preds) {
-            let dp = (e.quick_proba - p.quick_proba).abs() as f64;
-            sum_dp += dp;
-            max_dp = max_dp.max(dp);
-            if matches!(e.estimate, trout_core::QueueEstimate::QuickStart)
-                != matches!(p.estimate, trout_core::QueueEstimate::QuickStart)
-            {
-                flips += 1;
-            }
-            if let (Some(me), Some(mp)) = (e.minutes, p.minutes) {
-                max_dm = max_dm.max(((me - mp).abs() / me.abs().max(1.0)) as f64);
-            }
-        }
-        (sum_dp / exact.len() as f64, max_dp, flips, max_dm)
-    };
-
-    let p64 = packed_preds(false);
-    let p32 = packed_preds(true);
-    let (mean64, max64, flips64, dm64) = delta(&p64);
-    let (mean32, max32, flips32, dm32) = delta(&p32);
-    let (acc_exact, mape_exact) = score(&exact);
-    let (acc_32, mape_32) = score(&p32);
-
-    Report {
-        id: "A13",
-        title: "Packed inference (--infer-f32): accuracy delta vs the exact path",
-        paper: "serving-only refactor — the paper's model is unchanged; the packed path \
-                must reproduce the exact path's decisions to float tolerance",
-        lines: vec![
-            format!("test window: most recent {} jobs", exact.len()),
-            format!(
-                "packed-f64 (layout only): mean |Δproba| {mean64:.2e}, max {max64:.2e}, \
-                 {flips64} decision flips, max rel Δminutes {dm64:.2e}"
-            ),
-            format!(
-                "packed-f32 (layout+precision): mean |Δproba| {mean32:.2e}, max {max32:.2e}, \
-                 {flips32} decision flips, max rel Δminutes {dm32:.2e}"
-            ),
-            format!(
-                "classifier accuracy: exact {:.2}%  packed-f32 {:.2}%  (Δ {:+.3} pp)",
-                100.0 * acc_exact,
-                100.0 * acc_32,
-                100.0 * (acc_32 - acc_exact)
-            ),
-            format!(
-                "regressor MAPE:      exact {mape_exact:.2}%  packed-f32 {mape_32:.2}%  \
-                 (Δ {:+.3} pp)",
-                mape_32 - mape_exact
-            ),
-        ],
-    }
-}

@@ -7,8 +7,7 @@ mod systems;
 mod tables;
 
 pub use ablations::{
-    a10_target, a12_runtime_features, a13_packed_inference, a1_cutoff, a2_leakage, a3_smote,
-    a4_scaling, a5_activation_bn,
+    a10_target, a12_runtime_features, a1_cutoff, a2_leakage, a3_smote, a4_scaling, a5_activation_bn,
 };
 pub use figures::{
     fig2_density, fig3_splits, fig4_5_scatter, fig6_7_model_comparison, fig8_9_within100,

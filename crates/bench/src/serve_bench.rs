@@ -133,8 +133,7 @@ pub fn bench_serve(c: &mut Criterion) {
     // v2 window, reporting latency-vs-load curves and the max goodput the
     // daemon sustains while the urgent lane still meets its SLO.
     let offered = offered_load_sweep(smoke);
-    // The backlog sweep: predict-path throughput vs queue depth, O(n) scan
-    // versus the O(1) fast path versus the packed-f32 fast path.
+    // The backlog sweep: predict-path throughput vs queue depth.
     let backlog = backlog_sweep(smoke);
 
     if !smoke {
@@ -328,16 +327,10 @@ fn shard_sweep(smoke: bool) -> Json {
 }
 
 /// Sweeps queue depth under the full engine predict path — journal check,
-/// snapshot probe, row assembly, scaling, inference, drift bookkeeping —
-/// in three modes at each backlog: `scan` (the pre-fast-path behavior,
-/// every probe answered by the O(n) `snapshot_scan` walk, via the
-/// `scan_featurize` ablation knob), `fast` (the O(1) incremental
-/// aggregates, exact f64 inference), and `fast_f32` (O(1) aggregates plus
-/// the packed-f32 forward pass). The scan's per-predict cost grows with
-/// the backlog while both fast modes stay flat, so the reported speedups
-/// are the direct measurement of the ISSUE-8 acceptance criterion (≥ 3x
-/// predict-path throughput at a 4k-job backlog) — and of the paper's
-/// "latency is dominated by feature assembly" claim, before and after.
+/// snapshot probe, row assembly, scaling, inference, drift bookkeeping. The
+/// snapshot probe answers from the O(1) incremental aggregates, so the
+/// per-predict cost must stay flat as the backlog grows from 64 to 4,096
+/// pending jobs; the featurize and inference p50s split where it goes.
 fn backlog_sweep(smoke: bool) -> Json {
     const BATCH: usize = 64;
     let (boot_jobs, rounds, backlogs): (usize, usize, &[usize]) = if smoke {
@@ -346,10 +339,13 @@ fn backlog_sweep(smoke: bool) -> Json {
         (1_000, 8, &[64, 1_024, 4_096])
     };
     std::env::set_var("TROUT_THREADS", "1");
+    let cfg = ServeConfig {
+        refit_every: 0,
+        seed: 7,
+        ..Default::default()
+    };
     let mut entries = Vec::new();
     for &backlog in backlogs {
-        // One pending pool per backlog level, shared by all three modes so
-        // they featurize identical queue states.
         let live = SimulationBuilder::anvil_like()
             .jobs(backlog)
             .seed(0x8ac6)
@@ -361,77 +357,45 @@ fn backlog_sweep(smoke: bool) -> Json {
             .max()
             .expect("non-empty backlog trace");
         let nq = backlog.min(256);
-        let mut mode_json: Vec<(String, Json)> = Vec::new();
-        let mut rates = [0.0f64; 3];
-        for (m, (name, infer_f32, scan_featurize)) in [
-            ("scan", false, true),
-            ("fast", false, false),
-            ("fast_f32", true, false),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            let cfg = ServeConfig {
-                refit_every: 0,
-                seed: 7,
-                infer_f32,
-                scan_featurize,
-                ..Default::default()
-            };
-            let mut engine = ServeEngine::bootstrap(boot_jobs, &cfg);
-            for rec in &live.records {
-                engine.apply_submit(rec.clone()).expect("backlog submit");
-            }
-            let queries: Vec<trout_serve::engine::PredictQuery> = live.records[..nq]
-                .iter()
-                .map(|r| trout_serve::engine::PredictQuery::new(r.id, t_now))
-                .collect();
-            // Warm pass: caches raw rows and sizes every scratch buffer, so
-            // the timed passes measure the steady state.
-            for chunk in queries.chunks(BATCH) {
-                for r in engine.predict_batch(chunk) {
-                    r.expect("backlog predict");
-                }
-            }
-            let t0 = Instant::now();
-            for _ in 0..rounds {
-                for chunk in queries.chunks(BATCH) {
-                    engine.predict_batch(chunk);
-                }
-            }
-            let elapsed = t0.elapsed().as_secs_f64();
-            let preds = (rounds * nq) as u64;
-            rates[m] = preds as f64 / elapsed.max(1e-9);
-            mode_json.push((
-                name.into(),
-                Json::Obj(vec![
-                    ("predictions".into(), Json::Int(preds as i128)),
-                    ("elapsed_s".into(), Json::Num(elapsed)),
-                    ("preds_per_sec".into(), Json::Num(rates[m])),
-                    (
-                        "featurize_p50_us".into(),
-                        Json::Int(engine.metrics.featurize_us.quantile(0.50) as i128),
-                    ),
-                    (
-                        "inference_p50_us".into(),
-                        Json::Int(engine.metrics.inference_us.quantile(0.50) as i128),
-                    ),
-                ]),
-            ));
+        let mut engine = ServeEngine::bootstrap(boot_jobs, &cfg);
+        for rec in &live.records {
+            engine.apply_submit(rec.clone()).expect("backlog submit");
         }
-        let speedup_fast = rates[1] / rates[0].max(1e-9);
-        let speedup_f32 = rates[2] / rates[0].max(1e-9);
-        eprintln!(
-            "bench serve/backlog_sweep: backlog={backlog} — scan {:.0}/s, fast {:.0}/s \
-             ({speedup_fast:.1}x), fast_f32 {:.0}/s ({speedup_f32:.1}x)",
-            rates[0], rates[1], rates[2],
-        );
+        let queries: Vec<trout_serve::engine::PredictQuery> = live.records[..nq]
+            .iter()
+            .map(|r| trout_serve::engine::PredictQuery::new(r.id, t_now))
+            .collect();
+        // Warm pass: caches raw rows and sizes every scratch buffer, so the
+        // timed passes measure the steady state.
+        for chunk in queries.chunks(BATCH) {
+            for r in engine.predict_batch(chunk) {
+                r.expect("backlog predict");
+            }
+        }
+        let t0 = Instant::now();
+        for _ in 0..rounds {
+            for chunk in queries.chunks(BATCH) {
+                engine.predict_batch(chunk);
+            }
+        }
+        let elapsed = t0.elapsed().as_secs_f64();
+        let preds = (rounds * nq) as u64;
+        let rate = preds as f64 / elapsed.max(1e-9);
+        eprintln!("bench serve/backlog_sweep: backlog={backlog} — {rate:.0} predictions/s");
         entries.push(Json::Obj(vec![
             ("backlog".into(), Json::Int(backlog as i128)),
             ("batch".into(), Json::Int(BATCH as i128)),
-            ("modes".into(), Json::Obj(mode_json)),
-            ("speedup_fast_vs_scan".into(), Json::Num(speedup_fast)),
-            ("speedup_fast_f32_vs_scan".into(), Json::Num(speedup_f32)),
+            ("predictions".into(), Json::Int(preds as i128)),
+            ("elapsed_s".into(), Json::Num(elapsed)),
+            ("preds_per_sec".into(), Json::Num(rate)),
+            (
+                "featurize_p50_us".into(),
+                Json::Int(engine.metrics.featurize_us.quantile(0.50) as i128),
+            ),
+            (
+                "inference_p50_us".into(),
+                Json::Int(engine.metrics.inference_us.quantile(0.50) as i128),
+            ),
         ]));
     }
     std::env::remove_var("TROUT_THREADS");

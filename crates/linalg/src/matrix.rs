@@ -20,6 +20,14 @@ trout_std::impl_json_struct!(Matrix { rows, cols, data });
 /// forking rayon tasks for tiny layers costs more than the math.
 const PAR_THRESHOLD: usize = 64 * 1024;
 
+/// Below this many output rows the forward product stays serial whatever
+/// its size. Every batch the serve router flushes (its cap defaults to 32)
+/// sits under it, so a served forward pass never forks threads or reads
+/// `TROUT_THREADS` (which allocates); training batches (256 rows) still
+/// split. Rows are computed independently either way, so the split never
+/// changes a bit of the result.
+const PAR_MIN_ROWS: usize = 128;
+
 impl Matrix {
     /// A `rows x cols` matrix of zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
@@ -181,7 +189,7 @@ impl Matrix {
                 }
             }
         };
-        if m * k * n >= PAR_THRESHOLD && n > 0 {
+        if m >= PAR_MIN_ROWS && m * k * n >= PAR_THRESHOLD && n > 0 {
             par::par_chunks_mut(&mut out.data, n, body);
         } else if n > 0 {
             out.data
@@ -515,8 +523,8 @@ mod tests {
 
     #[test]
     fn parallel_path_matches_serial() {
-        // Large enough to cross PAR_THRESHOLD.
-        let n = 80;
+        // Large enough to cross PAR_THRESHOLD and PAR_MIN_ROWS.
+        let n = PAR_MIN_ROWS;
         let a = Matrix::from_fn(n, n, |r, c| ((r * 31 + c * 7) % 13) as f32 - 6.0);
         let b = Matrix::from_fn(n, n, |r, c| ((r * 17 + c * 5) % 11) as f32 - 5.0);
         let fast = a.matmul(&b);
@@ -535,7 +543,7 @@ mod tests {
             assert!((x - y).abs() <= 1e-3, "{x} vs {y}");
         }
 
-        // matmul_at crosses the threshold too (80^3 multiply-adds). Its
+        // matmul_at crosses the threshold too (128^3 multiply-adds). Its
         // parallel split promises *bit*-identity with the serial loop order,
         // so emulate that order here and compare exactly.
         let fast_at = a.matmul_at(&b);

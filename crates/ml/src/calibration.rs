@@ -70,12 +70,6 @@ impl PlattScaler {
         }
     }
 
-    /// The fitted `(a, b)` coefficients, for callers that bake the scaler
-    /// into a packed inference path.
-    pub fn coefficients(&self) -> (f32, f32) {
-        (self.a, self.b)
-    }
-
     /// Calibrated probability for one raw logit.
     pub fn calibrate(&self, logit: f32) -> f32 {
         sigmoid(self.a * logit + self.b)

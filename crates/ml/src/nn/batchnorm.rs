@@ -214,31 +214,6 @@ impl BatchNorm {
     pub fn params_mut(&mut self) -> (&mut [f32], &mut [f32]) {
         (&mut self.gamma, &mut self.beta)
     }
-
-    /// Folds the eval-mode forward into a per-feature affine
-    /// `y = scale[j] * x + shift[j]`, with
-    /// `scale = gamma / sqrt(running_var + eps)` and
-    /// `shift = beta - scale * running_mean`. The fold reassociates the
-    /// arithmetic of [`BatchNorm::forward_eval_in`] (divide-then-scale
-    /// becomes one premultiplied factor), so results are near- but not
-    /// bit-identical — callers opting into folded inference own that
-    /// tolerance.
-    pub fn eval_affine(&self) -> (Vec<f32>, Vec<f32>) {
-        let scale: Vec<f32> = self
-            .gamma
-            .iter()
-            .zip(&self.running_var)
-            .map(|(&g, &v)| g / (v + self.eps).sqrt())
-            .collect();
-        let shift: Vec<f32> = self
-            .beta
-            .iter()
-            .zip(&scale)
-            .zip(&self.running_mean)
-            .map(|((&b, &s), &m)| b - s * m)
-            .collect();
-        (scale, shift)
-    }
 }
 
 #[cfg(test)]

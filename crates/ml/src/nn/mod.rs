@@ -11,11 +11,9 @@ mod batchnorm;
 mod loss;
 mod network;
 mod optimizer;
-pub mod packed;
 
 pub use activation::Activation;
 pub use batchnorm::BatchNorm;
 pub use loss::Loss;
-pub use network::{EarlyStopping, LayerView, Mlp, MlpConfig, TrainReport};
+pub use network::{EarlyStopping, Mlp, MlpConfig, TrainReport};
 pub use optimizer::Adam;
-pub use packed::{Element, PackedMlp, PackedScratch};

@@ -131,21 +131,6 @@ trout_std::impl_json_struct!(Mlp {
     early_stopping
 });
 
-/// Read-only view of one dense block, consumed by the weight packer
-/// ([`super::packed::PackedMlp::from_mlp`]). Exposes exactly what inference
-/// needs and nothing the optimizer owns.
-#[derive(Debug, Clone, Copy)]
-pub struct LayerView<'a> {
-    /// Dense weights, `[fan_in][fan_out]` (training layout).
-    pub w: &'a Matrix,
-    /// Bias, `fan_out` long.
-    pub b: &'a [f32],
-    /// Batch norm applied between the affine map and the activation.
-    pub bn: Option<&'a BatchNorm>,
-    /// Activation applied last.
-    pub act: Activation,
-}
-
 /// Per-epoch training losses returned by [`Mlp::fit`].
 #[derive(Debug, Clone)]
 pub struct TrainReport {
@@ -228,19 +213,6 @@ impl Mlp {
     /// The loss this network trains with.
     pub fn loss(&self) -> Loss {
         self.loss
-    }
-
-    /// Read-only per-layer views, in forward order, for weight packing.
-    pub fn layer_views(&self) -> Vec<LayerView<'_>> {
-        self.blocks
-            .iter()
-            .map(|b| LayerView {
-                w: &b.w,
-                b: &b.b,
-                bn: b.bn.as_ref(),
-                act: b.act,
-            })
-            .collect()
     }
 
     /// Builds a scratch [`Workspace`] matching this network's architecture,

@@ -13,16 +13,24 @@ fn config(msg: String) -> TroutError {
 }
 
 impl Options {
-    /// Parses `--flag value` tokens. A flag directly followed by another
-    /// flag (or by the end of the line) is a bare boolean switch, stored as
-    /// `"true"` — e.g. `trout serve --stdin`.
-    pub fn parse(argv: &[String]) -> Result<Options, TroutError> {
+    /// Parses `--flag value` tokens, accepting only the flags named in
+    /// `known` (space-separated, without dashes). A flag directly followed
+    /// by another flag (or by the end of the line) is a bare boolean
+    /// switch, stored as `"true"` — e.g. `trout serve --stdin`.
+    pub fn parse(argv: &[String], known: &str) -> Result<Options, TroutError> {
         let mut pairs = Vec::new();
         let mut it = argv.iter().peekable();
         while let Some(flag) = it.next() {
             let Some(name) = flag.strip_prefix("--") else {
                 return Err(config(format!("expected a --flag, got `{flag}`")));
             };
+            if !known.split_whitespace().any(|k| k == name) {
+                let known: Vec<&str> = known.split_whitespace().collect();
+                return Err(config(format!(
+                    "unknown flag `{flag}` (this subcommand reads --{})",
+                    known.join(", --")
+                )));
+            }
             let value = match it.peek() {
                 Some(next) if !next.starts_with("--") => it.next().unwrap().clone(),
                 _ => "true".to_string(),
@@ -74,8 +82,10 @@ impl Options {
 mod tests {
     use super::*;
 
+    const KNOWN: &str = "jobs seed x stdin batch verbose trace";
+
     fn opts(s: &[&str]) -> Result<Options, TroutError> {
-        Options::parse(&s.iter().map(|v| v.to_string()).collect::<Vec<_>>())
+        Options::parse(&s.iter().map(|v| v.to_string()).collect::<Vec<_>>(), KNOWN)
     }
 
     #[test]
@@ -113,6 +123,14 @@ mod tests {
         let err = o.get_or::<usize>("jobs", 1).unwrap_err();
         assert!(matches!(err, TroutError::Config(_)));
         assert!(err.to_string().contains("--jobs"), "{err}");
+    }
+
+    #[test]
+    fn unknown_flags_are_config_errors_that_name_the_flag() {
+        let err = opts(&["--jobs", "10", "--job", "3"]).unwrap_err();
+        assert!(matches!(err, TroutError::Config(_)));
+        assert!(err.to_string().contains("unknown flag `--job`"), "{err}");
+        assert!(opts(&["--stdin", "--infer-f32"]).is_err());
     }
 
     #[test]

@@ -34,34 +34,44 @@ fn main() -> ExitCode {
     }
 }
 
+/// One subcommand's entry point.
+type Command = fn(&args::Options) -> Result<(), TroutError>;
+
 fn run(argv: &[String]) -> Result<(), TroutError> {
     let Some(cmd) = argv.first() else {
         print_usage();
         return Err(TroutError::Config("missing subcommand".into()));
     };
-    let opts = args::Options::parse(&argv[1..])?;
-    match cmd.as_str() {
-        "simulate" => commands::simulate(&opts),
-        "stats" => commands::stats(&opts),
-        "train" => commands::train(&opts),
-        "predict" => commands::predict(&opts),
-        "whatif" => commands::whatif(&opts),
-        "importance" => commands::importance(&opts),
-        "eval" => commands::eval(&opts),
-        "tune" => commands::tune(&opts),
-        "serve" => serve_cmd::serve(&opts),
-        "events" => serve_cmd::events(&opts),
-        "metrics" => serve_cmd::metrics(&opts),
-        "trace" => serve_cmd::trace(&opts),
-        "replicate" => serve_cmd::replicate(&opts),
+    // Each subcommand with the flags it reads; any other flag is an error,
+    // so a misspelt or retired flag cannot silently run the defaults.
+    let (command, flags): (Command, &str) = match cmd.as_str() {
+        "simulate" => (commands::simulate, "jobs seed out"),
+        "stats" => (commands::stats, "trace"),
+        "train" => (commands::train, "trace out cutoff epochs seed"),
+        "predict" => (commands::predict, "model trace job-id"),
+        "whatif" => (
+            commands::whatif,
+            "model trace partition cpus mem nodes gpus timelimit",
+        ),
+        "importance" => (commands::importance, "model trace top"),
+        "eval" => (commands::eval, "trace folds seed epochs"),
+        "tune" => (commands::tune, "trace trials seed"),
+        "serve" => (serve_cmd::serve, serve_cmd::SERVE_FLAGS),
+        "events" => (serve_cmd::events, "trace out predict-every"),
+        "metrics" => (serve_cmd::metrics, "connect format watch polls"),
+        "trace" => (serve_cmd::trace, "connect last json"),
+        "replicate" => (serve_cmd::replicate, "connect json"),
         "help" | "--help" | "-h" => {
             print_usage();
-            Ok(())
+            return Ok(());
         }
-        other => Err(TroutError::Config(format!(
-            "unknown subcommand `{other}` (try `trout help`)"
-        ))),
-    }
+        other => {
+            return Err(TroutError::Config(format!(
+                "unknown subcommand `{other}` (try `trout help`)"
+            )))
+        }
+    };
+    command(&args::Options::parse(&argv[1..], flags)?)
 }
 
 fn print_usage() {

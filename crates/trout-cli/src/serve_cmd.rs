@@ -18,9 +18,14 @@ use trout_std::json::Json;
 use crate::args::Options;
 use crate::commands::{load_model, load_trace};
 
+/// Every flag `trout serve` reads, space-separated.
+pub const SERVE_FLAGS: &str = "model trace bootstrap seed stdin listen shards batch refit-every \
+    deadline-ms urgent-deadline-ms batch-deadline-ms est-predict-us state-dir recover \
+    snapshot-every fsync-every compact replicate-listen follow";
+
 /// `trout serve (--model MODEL.json --trace FILE | --bootstrap JOBS)
 ///              [--stdin | --listen ADDR]
-///              [--shards N] [--batch N] [--refit-every N] [--infer-f32]
+///              [--shards N] [--batch N] [--refit-every N]
 ///              [--deadline-ms N] [--urgent-deadline-ms N]
 ///              [--batch-deadline-ms N] [--est-predict-us N]
 ///              [--state-dir DIR [--recover] [--snapshot-every N]
@@ -43,13 +48,9 @@ use crate::commands::{load_model, load_trace};
 /// `--est-predict-us` (default 150) is the per-prediction cost estimate
 /// behind the admission-control shed threshold.
 ///
-/// `--infer-f32` serves predictions through the packed f32 fast path:
-/// weights are transposed and batch norm folded once per model publish, and
-/// the forward pass runs on the runtime-dispatched SIMD kernels
-/// (overridable via `TROUT_SIMD=scalar|sse2|avx2`). Opt-in because packed
-/// outputs are near- but not bit-identical to the exact path; journals,
-/// snapshots and refits always use the exact model, so recovery only needs
-/// the flag repeated to reproduce served answers.
+/// Predictions run the model's own forward pass on the runtime-dispatched
+/// SIMD kernels (overridable via `TROUT_SIMD=scalar|sse2|avx2`); every tier
+/// gives bit-identical answers.
 ///
 /// With `--state-dir`, every accepted event is appended to a write-ahead
 /// journal and a snapshot is written every `--snapshot-every`
@@ -82,17 +83,15 @@ pub fn serve(opts: &Options) -> Result<()> {
     let cfg = ServeConfig {
         refit_every: opts.get_or("refit-every", 256)?,
         seed: opts.get_or("seed", 0)?,
-        infer_f32: opts.has("infer-f32"),
         ..Default::default()
     };
     // One startup line pins down which kernel tier this process dispatched
     // to (and therefore what TROUT_SIMD resolved to), for every mode.
     log_info!(
         "serve",
-        "simd kernel tier: {} (best supported {}; override with TROUT_SIMD), inference {}",
+        "simd kernel tier: {} (best supported {}; override with TROUT_SIMD)",
         trout_linalg::SimdTier::active().name(),
-        trout_linalg::SimdTier::best_supported().name(),
-        if cfg.infer_f32 { "packed-f32" } else { "exact" }
+        trout_linalg::SimdTier::best_supported().name()
     );
 
     let shards = if opts.has("bootstrap") {
@@ -635,14 +634,17 @@ mod tests {
         let trace_path = dir.join("trace.csv");
         let out_path = dir.join("events.ndjson");
         fs::write(&trace_path, trace.to_csv()).unwrap();
-        let opts = Options::parse(&[
-            "--trace".into(),
-            trace_path.display().to_string(),
-            "--out".into(),
-            out_path.display().to_string(),
-            "--predict-every".into(),
-            "4".into(),
-        ])
+        let opts = Options::parse(
+            &[
+                "--trace".into(),
+                trace_path.display().to_string(),
+                "--out".into(),
+                out_path.display().to_string(),
+                "--predict-every".into(),
+                "4".into(),
+            ],
+            "trace out predict-every",
+        )
         .unwrap();
         events(&opts).unwrap();
 

@@ -48,6 +48,19 @@ fn missing_flag_fails_cleanly() {
 }
 
 #[test]
+fn unknown_flags_fail_and_name_the_flag() {
+    for flag in ["--infer-f32", "--reactor", "--fsync-evry"] {
+        let out = trout(&["serve", "--bootstrap", "300", "--stdin", flag, "0"]);
+        assert!(!out.status.success(), "{flag} must be rejected");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown flag `{flag}`")), "{err}");
+    }
+    let out = trout(&["simulate", "--jobs", "10", "--seeds", "3", "--out", "x.csv"]);
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("`--seeds`"));
+}
+
+#[test]
 fn simulate_stats_train_predict_whatif_pipeline() {
     let trace = tmp("pipeline-trace.csv");
     let model = tmp("pipeline-model.json");

@@ -26,7 +26,6 @@ pub mod error;
 pub mod eval;
 mod model;
 pub mod online;
-mod packed;
 mod predictor;
 mod runtime;
 mod trainer;
@@ -34,7 +33,6 @@ pub mod tuner;
 
 pub use error::TroutError;
 pub use model::{HierarchicalModel, PredictorScratch};
-pub use packed::{PackedHierarchical, PackedPredictScratch};
 pub use predictor::{
     BatchPredictionRequest, Deadline, Lane, PredictionRequest, Predictor, QueueEstimate,
     QueuePrediction, LANES,

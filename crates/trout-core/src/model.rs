@@ -13,7 +13,7 @@ use crate::trainer::TargetTransform;
 /// Reusable scratch for [`HierarchicalModel`] batch inference: the two MLP
 /// workspaces plus the intermediate vectors Algorithm 1 threads between
 /// them. A long-lived caller (the serve engine, CV loops) keeps one of these
-/// alive so repeated `predict_batch_in` calls stop churning the allocator.
+/// alive so repeated `predict_batch_into` calls stop churning the allocator.
 ///
 /// Tied to the model *architecture*, not the weights — it stays valid across
 /// warm-start refits and hot swaps as long as the layer shapes are unchanged
@@ -79,23 +79,11 @@ impl HierarchicalModel {
         }
     }
 
-    /// [`Predictor::predict_batch`] against caller-owned scratch —
-    /// bit-identical output, but the MLP forward passes and row gathering
-    /// reuse the scratch buffers instead of allocating per call.
-    pub fn predict_batch_in(
-        &self,
-        req: BatchPredictionRequest<'_>,
-        s: &mut PredictorScratch,
-    ) -> Vec<QueuePrediction> {
-        let mut out = Vec::with_capacity(req.features.rows());
-        self.predict_batch_into(req, s, &mut out);
-        out
-    }
-
-    /// [`HierarchicalModel::predict_batch_in`] writing into a caller-owned
-    /// output vector (cleared first). Once scratch and output have warmed to
-    /// the batch size, a call performs **zero** heap allocations — the
-    /// serve engine's steady-state predict path rides on this.
+    /// [`Predictor::predict_batch`] against caller-owned scratch, writing
+    /// into a caller-owned output vector (cleared first) — bit-identical
+    /// output. Once scratch and output have warmed to the batch size, a call
+    /// performs **zero** heap allocations — the serve engine's steady-state
+    /// predict path rides on this.
     pub fn predict_batch_into(
         &self,
         req: BatchPredictionRequest<'_>,
@@ -198,7 +186,8 @@ impl Predictor for HierarchicalModel {
     /// regressor pass over the rows that need it. Bitwise identical to the
     /// row-by-row path because MLP inference is row-independent.
     fn predict_batch(&self, req: BatchPredictionRequest<'_>) -> Vec<QueuePrediction> {
-        let mut scratch = self.scratch(req.features.rows());
-        self.predict_batch_in(req, &mut scratch)
+        let mut out = Vec::with_capacity(req.features.rows());
+        self.predict_batch_into(req, &mut self.scratch(req.features.rows()), &mut out);
+        out
     }
 }

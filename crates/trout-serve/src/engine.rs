@@ -22,9 +22,8 @@ use std::time::Instant;
 
 use trout_core::online::{update_model_in, OnlineConfig, RefitScratch};
 use trout_core::{
-    featurize, BatchPredictionRequest, HierarchicalModel, Lane, PackedHierarchical,
-    PackedPredictScratch, PredictorScratch, QueueEstimate, QueuePrediction, RuntimePredictor,
-    TroutConfig, TroutError, TroutTrainer,
+    featurize, BatchPredictionRequest, HierarchicalModel, Lane, PredictorScratch, QueueEstimate,
+    QueuePrediction, RuntimePredictor, TroutConfig, TroutError, TroutTrainer,
 };
 use trout_features::incremental::JobPhase;
 use trout_features::names::N_FEATURES;
@@ -60,17 +59,6 @@ pub struct ServeConfig {
     pub train_frac: f64,
     /// Seed for bootstrap training.
     pub seed: u64,
-    /// Serve predictions through the packed f32 inference path (weights
-    /// re-packed at every model publish). Opt-in: packed outputs are near-
-    /// but not bit-identical to the exact path (folded batch norm), and the
-    /// authoritative model/journal/snapshot state is unaffected either way.
-    pub infer_f32: bool,
-    /// Bench/ablation knob: answer every predict's snapshot read with the
-    /// O(n) [`IncrementalSnapshot::snapshot_scan`] walk instead of the O(1)
-    /// aggregate read — the pre-fast-path behavior. Never set in
-    /// production; `serve_bench`'s backlog sweep uses it to measure the
-    /// fast path's speedup against the scan at matched queue depths.
-    pub scan_featurize: bool,
 }
 
 impl Default for ServeConfig {
@@ -79,8 +67,6 @@ impl Default for ServeConfig {
             refit_every: 256,
             train_frac: 0.6,
             seed: 0,
-            infer_f32: false,
-            scan_featurize: false,
         }
     }
 }
@@ -285,16 +271,6 @@ pub struct ServeEngine {
     /// instead of allocating workspaces per flush. Architecture-tied, so it
     /// survives hot swaps (refits never change the layer shapes).
     scratch: PredictorScratch,
-    /// Whether predictions go through the packed f32 fast path.
-    infer_f32: bool,
-    /// Bench/ablation knob: force the O(n) scan on every snapshot read.
-    scan_featurize: bool,
-    /// The packed model, when `infer_f32` is on. **Derived state**: rebuilt
-    /// from the authoritative model at every publish point (bootstrap,
-    /// refit, restore), never serialized or journaled.
-    packed: Option<PackedHierarchical<f32>>,
-    /// Scratch for the packed path (weight-independent, survives swaps).
-    packed_scratch: PackedPredictScratch<f32>,
     /// Batch-assembly buffers for the predict path; reused across flushes
     /// so a steady-state predict performs zero heap allocations.
     pscratch: EnginePredictScratch,
@@ -334,9 +310,6 @@ impl ServeEngine {
         let model = pretrained.unwrap_or_else(|| TroutTrainer::new(base_cfg.clone()).fit(&ds));
         let scratch = model.scratch(64);
         let refit_scratch = RefitScratch::for_model(&model);
-        let packed = cfg
-            .infer_f32
-            .then(|| PackedHierarchical::from_model(&model));
         ServeEngine {
             cluster: trace.cluster.clone(),
             scaler: ds.scaler.clone(),
@@ -353,10 +326,6 @@ impl ServeEngine {
             completed_since_refit: 0,
             latest_time: i64::MIN,
             scratch,
-            infer_f32: cfg.infer_f32,
-            scan_featurize: cfg.scan_featurize,
-            packed,
-            packed_scratch: PackedPredictScratch::new(),
             pscratch: EnginePredictScratch::default(),
             refit_scratch,
             metrics: ServeMetrics::default(),
@@ -383,19 +352,6 @@ impl ServeEngine {
     /// The currently published model (refits swap this pointer).
     pub fn model(&self) -> Arc<HierarchicalModel> {
         Arc::clone(&self.model)
-    }
-
-    /// Whether predictions go through the packed f32 fast path.
-    pub fn infer_f32(&self) -> bool {
-        self.infer_f32
-    }
-
-    /// Re-derives the packed model from the authoritative one. Called at
-    /// every publish point (refit, restore); a no-op unless `infer_f32`.
-    fn rebuild_packed(&mut self) {
-        if self.infer_f32 {
-            self.packed = Some(PackedHierarchical::from_model(&self.model));
-        }
     }
 
     /// The live snapshot index (for assertions and inspection).
@@ -487,7 +443,7 @@ impl ServeEngine {
     /// once they have warmed to the high-water batch size a steady-state
     /// flush (journal detached, cached rows warm) performs **zero** heap
     /// allocations end to end: O(1) snapshot read, in-place row assembly
-    /// and scaling, workspace-backed (or packed) inference, and prediction
+    /// and scaling, workspace-backed inference, and prediction
     /// slots overwritten in place.
     pub fn predict_batch_into(
         &mut self,
@@ -530,16 +486,11 @@ impl ServeEngine {
             ps.x.reshape_scratch(n_ok, N_FEATURES);
             ps.x.as_mut_slice().copy_from_slice(&ps.flat);
             let t_inf = Instant::now();
-            match &self.packed {
-                Some(packed) => {
-                    packed.predict_batch_into(&ps.x, false, &mut self.packed_scratch, &mut ps.preds)
-                }
-                None => self.model.predict_batch_into(
-                    BatchPredictionRequest::new(&ps.x),
-                    &mut self.scratch,
-                    &mut ps.preds,
-                ),
-            }
+            self.model.predict_batch_into(
+                BatchPredictionRequest::new(&ps.x),
+                &mut self.scratch,
+                &mut ps.preds,
+            );
             self.metrics
                 .inference_us
                 .record(t_inf.elapsed().as_micros() as u64);
@@ -997,7 +948,6 @@ impl ServeEngine {
         self.scratch = model.scratch(64);
         self.refit_scratch = RefitScratch::for_model(&model);
         self.model = Arc::new(model);
-        self.rebuild_packed();
 
         let counters = j
             .get("counters")
@@ -1062,11 +1012,7 @@ impl ServeEngine {
             priority: rec.priority,
             exclude_id: Some(id),
         };
-        let snap = if self.scan_featurize {
-            self.index.snapshot_scan(&probe)
-        } else {
-            self.index.snapshot(&probe)
-        };
+        let snap = self.index.snapshot(&probe);
         let part = &self.cluster.partitions[rec.partition as usize];
         row.clear();
         row.resize(N_FEATURES, 0.0);
@@ -1144,7 +1090,6 @@ impl ServeEngine {
             &mut self.refit_scratch,
         );
         self.model = Arc::new(next);
-        self.rebuild_packed();
         let refits = self.metrics.refits_total.inc();
         self.completed_since_refit = 0;
         trout_obs::log_debug!(
@@ -1375,71 +1320,6 @@ mod tests {
         assert_eq!(engine.metrics.drift_purged_total.get(), 2);
         // The purge is observational only: never part of the state oracle.
         assert!(engine.state_to_json().get("drift_purged").is_none());
-    }
-
-    #[test]
-    fn packed_f32_predictions_track_the_exact_path() {
-        let cfg_exact = ServeConfig {
-            refit_every: 0,
-            seed: 7,
-            ..Default::default()
-        };
-        let cfg_packed = ServeConfig {
-            infer_f32: true,
-            ..cfg_exact.clone()
-        };
-        let mut exact = ServeEngine::bootstrap(400, &cfg_exact);
-        let mut packed = ServeEngine::bootstrap(400, &cfg_packed);
-        assert!(packed.infer_f32() && !exact.infer_f32());
-        let live = SimulationBuilder::anvil_like().jobs(60).seed(8).run();
-        let mut compared = 0usize;
-        for rec in live.records.iter().take(40) {
-            let (id, t) = (rec.id, rec.submit_time);
-            exact.apply_submit(rec.clone()).unwrap();
-            packed.apply_submit(rec.clone()).unwrap();
-            let pe = exact.predict_one(id, t).unwrap();
-            let pp = packed.predict_one(id, t).unwrap();
-            // The packed path reassociates (folded batch norm, f32 dot
-            // order), so probabilities agree to a tolerance rather than
-            // bit-for-bit; decisions may only flip inside that band of 0.5.
-            assert!(
-                (pe.quick_proba - pp.quick_proba).abs() < 1e-3,
-                "job {id}: proba {} vs packed {}",
-                pe.quick_proba,
-                pp.quick_proba
-            );
-            if matches!(pe.estimate, QueueEstimate::QuickStart)
-                != matches!(pp.estimate, QueueEstimate::QuickStart)
-            {
-                assert!(
-                    (pe.quick_proba - 0.5).abs() < 1e-3,
-                    "job {id}: decision flipped away from the 0.5 boundary"
-                );
-            }
-            if let (Some(me), Some(mp)) = (pe.minutes, pp.minutes) {
-                assert!(
-                    (me - mp).abs() <= 1e-2 * (1.0 + me.abs()),
-                    "job {id}: minutes {me} vs packed {mp}"
-                );
-            }
-            compared += 1;
-        }
-        assert_eq!(compared, 40);
-        // Packed is derived state only: both engines serialize identical
-        // authoritative state modulo the drift monitor's served answers
-        // (which legitimately differ in the low bits).
-        let je = exact.state_to_json();
-        let jp = packed.state_to_json();
-        assert_eq!(
-            je.get("model").map(|m| m.to_string()),
-            jp.get("model").map(|m| m.to_string()),
-            "packed mode must not alter the authoritative model"
-        );
-        assert_eq!(
-            je.get("index").map(|m| m.to_string()),
-            jp.get("index").map(|m| m.to_string()),
-            "packed mode must not alter the incremental index"
-        );
     }
 
     #[test]

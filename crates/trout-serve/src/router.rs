@@ -312,17 +312,39 @@ impl RouterSession {
                     }
                 }
             }
-            Err(e) => {
-                self.flush(shards, out)?;
-                shards.metrics0().record_error(&e);
-                if matches!(e, TroutError::Protocol(_)) && !self.protocol_dumped {
-                    self.protocol_dumped = true;
-                    shards.flight_dump("protocol_error", FLIGHT_DUMP_LAST);
-                }
-                writeln!(out, "{}", error_response(&e))?;
-            }
+            Err(e) => self.answer_error(shards, &e, out)?,
         }
         Ok(Flow::Continue)
+    }
+
+    /// Answers a request line the transport could not decode (it is not
+    /// UTF-8) with `e`, in order, as [`RouterSession::handle_line`] answers
+    /// a line that does not parse.
+    pub fn reject_line<W: Write>(
+        &mut self,
+        shards: &ShardSet,
+        e: &TroutError,
+        out: &mut W,
+    ) -> Result<(), TroutError> {
+        shards.metrics0().requests_total.inc();
+        self.answer_error(shards, e, out)
+    }
+
+    /// Drains the window, counts `e`, and writes its error response.
+    fn answer_error<W: Write>(
+        &mut self,
+        shards: &ShardSet,
+        e: &TroutError,
+        out: &mut W,
+    ) -> Result<(), TroutError> {
+        self.flush(shards, out)?;
+        shards.metrics0().record_error(e);
+        if matches!(e, TroutError::Protocol(_)) && !self.protocol_dumped {
+            self.protocol_dumped = true;
+            shards.flight_dump("protocol_error", FLIGHT_DUMP_LAST);
+        }
+        writeln!(out, "{}", error_response(e))?;
+        Ok(())
     }
 
     /// Fans queued predicts out to their shards and writes the responses in

@@ -219,12 +219,14 @@ impl AcceptBackoff {
 /// Longest request line a session accepts, in bytes before its newline. A
 /// longer line ends the session with a `protocol` error: a client streaming
 /// bytes without a newline would otherwise grow the line buffer until the
-/// daemon runs out of memory.
+/// daemon runs out of memory. The cap counts bytes, so it may cut a
+/// multi-byte character; the overflow is reported all the same.
 pub const LINE_MAX: usize = 1 << 20;
 
 /// Runs one client session to completion (EOF or `shutdown`). Returns the
 /// number of request lines handled. Responses go to `out` through the
-/// session's [`egress`] barrier.
+/// session's [`egress`] barrier. A line that is not UTF-8 is answered with
+/// a `parse` error like any other malformed line, and the session goes on.
 pub fn run_session<R: Read, W: Write>(
     shards: &ShardSet,
     input: R,
@@ -238,7 +240,7 @@ pub fn run_session<R: Read, W: Write>(
     };
     let mut reader = BufReader::new(input);
     let mut out = egress(shards, out);
-    let mut line = String::new();
+    let mut line = Vec::new();
     let mut session = RouterSession::new(shards.len(), batch_max);
     let mut handled = 0u64;
     loop {
@@ -247,21 +249,28 @@ pub fn run_session<R: Read, W: Write>(
         // newline; a line that fills it without a newline is an overflow.
         let n = (&mut reader)
             .take(LINE_MAX as u64 + 1)
-            .read_line(&mut line)?;
+            .read_until(b'\n', &mut line)?;
         if n == 0 {
             session.flush(shards, &mut out)?;
             out.flush()?;
             break;
         }
-        if n > LINE_MAX && !line.ends_with('\n') {
+        if n > LINE_MAX && line.last() != Some(&b'\n') {
             return Err(line_overflow(shards, &mut session, &mut out));
         }
-        let trimmed = line.trim();
-        if !trimmed.is_empty() {
-            handled += 1;
-            if session.handle_line(shards, trimmed, &mut out)? == Flow::Shutdown {
-                out.flush()?;
-                return Ok(handled);
+        match std::str::from_utf8(&line).map(str::trim) {
+            Ok("") => {}
+            Ok(text) => {
+                handled += 1;
+                if session.handle_line(shards, text, &mut out)? == Flow::Shutdown {
+                    out.flush()?;
+                    return Ok(handled);
+                }
+            }
+            Err(e) => {
+                handled += 1;
+                let e = TroutError::Parse(format!("request line is not valid UTF-8: {e}"));
+                session.reject_line(shards, &e, &mut out)?;
             }
         }
         // No complete request line buffered: the next read may block, so

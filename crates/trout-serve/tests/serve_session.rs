@@ -4,8 +4,10 @@
 use std::io::Cursor;
 use std::sync::Arc;
 
+use trout_core::TroutError;
 use trout_features::incremental::{trace_events, ReplayEvent};
 use trout_serve::protocol::job_to_json;
+use trout_serve::server::LINE_MAX;
 use trout_serve::{run_session, run_tcp, ServeConfig, ServeEngine, ShardSet};
 use trout_slurmsim::{SimulationBuilder, Trace};
 use trout_std::json::Json;
@@ -258,27 +260,51 @@ fn sharded_session_responses_are_byte_identical_to_single_shard() {
 #[test]
 fn bad_lines_get_error_responses_and_do_not_kill_the_session() {
     let shards = ShardSet::single(engine());
-    let script = "garbage\n\
+    let script: &[u8] = b"garbage\n\
+                  \xff\xfe\n\
                   {\"event\":\"predict\",\"id\":5,\"time\":0}\n\
                   {\"event\":\"metrics\"}\n";
     let mut out: Vec<u8> = Vec::new();
     run_session(&shards, Cursor::new(script), &mut out, 8).unwrap();
     let responses = String::from_utf8(out).unwrap();
     let lines: Vec<&str> = responses.lines().collect();
-    assert_eq!(lines.len(), 3);
-    // Malformed JSON → parse error; predict of an unsubmitted id → protocol
-    // error; metrics still succeeds and counts both failures.
+    assert_eq!(lines.len(), 4);
+    // Malformed JSON → parse error; a line that is not UTF-8 → parse error;
+    // predict of an unsubmitted id → protocol error; metrics still succeeds
+    // and counts all three failures.
     let first = Json::parse(lines[0]).unwrap();
     assert_eq!(first.get("ok"), Some(&Json::Bool(false)));
-    let second = Json::parse(lines[1]).unwrap();
-    assert_eq!(second.get("ok"), Some(&Json::Bool(false)));
+    assert!(
+        lines[1].contains("parse error: request line is not valid UTF-8"),
+        "{}",
+        lines[1]
+    );
     let third = Json::parse(lines[2]).unwrap();
+    assert_eq!(third.get("ok"), Some(&Json::Bool(false)));
+    let fourth = Json::parse(lines[3]).unwrap();
     assert_eq!(
-        third
+        fourth
             .get("metrics")
             .and_then(|m| m.get("counters"))
             .and_then(|c| c.get("errors")),
-        Some(&Json::Int(2))
+        Some(&Json::Int(3))
+    );
+}
+
+#[test]
+fn an_overflow_that_cuts_a_multibyte_character_is_a_protocol_error() {
+    let shards = ShardSet::single(engine());
+    // The cap's last byte is the first of 'é''s two bytes.
+    let mut script = vec![b'x'; LINE_MAX];
+    script.extend_from_slice("é\n{\"event\":\"shutdown\"}\n".as_bytes());
+    let mut out: Vec<u8> = Vec::new();
+    let err = run_session(&shards, Cursor::new(script), &mut out, 8).unwrap_err();
+    assert!(matches!(err, TroutError::Protocol(_)), "{err}");
+    let responses = String::from_utf8(out).unwrap();
+    assert_eq!(responses.lines().count(), 1, "{responses}");
+    assert!(
+        responses.contains("protocol error: request line exceeded"),
+        "{responses}"
     );
 }
 

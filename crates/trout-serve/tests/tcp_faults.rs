@@ -340,14 +340,18 @@ fn faulty_clients_are_isolated_and_counted() {
 /// A client that streams bytes without a newline costs its own session,
 /// not the daemon's memory: past [`LINE_MAX`] the session ends with one
 /// `protocol` error, and a healthy client on the same daemon is served.
+/// The cap counts bytes, so it may cut a multi-byte character in two: that
+/// is the same overflow, not an `io` error.
 #[test]
 fn an_overlong_line_ends_only_its_own_session() {
-    let (addr, server, shared) = spawn_server(1, 2);
-    {
+    let (addr, server, shared) = spawn_server(1, 3);
+    let mut cut_char = vec![b'x'; LINE_MAX];
+    cut_char.extend_from_slice("é\n".as_bytes());
+    let m = shared.metrics0();
+    for (k, flood) in [vec![b'x'; 2 * LINE_MAX], cut_char].into_iter().enumerate() {
         let mut conn = TcpStream::connect(addr).unwrap();
         conn.set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
-        let flood = vec![b'x'; 2 * LINE_MAX];
         // The daemon closes the session after LINE_MAX + 1 bytes, so the
         // rest of the write may fail with a reset.
         let _ = conn.write_all(&flood);
@@ -358,22 +362,48 @@ fn an_overlong_line_ends_only_its_own_session() {
                 "{line}"
             );
         }
+        wait_until(
+            Duration::from_secs(10),
+            "the overflow to be recorded",
+            || m.errors_by_class[4].get() == k as u64 + 1,
+        );
     }
-    let m = shared.metrics0();
-    wait_until(
-        Duration::from_secs(10),
-        "the overflow to be recorded",
-        || m.errors_by_class[4].get() == 1,
-    );
     healthy_round_trip(addr, 7001);
     server.join().unwrap();
     let by = errors_by_class_summed(&shared);
     assert_eq!(
-        by[4], 1,
-        "exactly one protocol error: the overflow ({by:?})"
+        by[4], 2,
+        "exactly one protocol error per flood: the overflow ({by:?})"
     );
     assert_eq!(by[0], 0, "the overflow is not an io error ({by:?})");
     assert_eq!(m.sessions_live.get(), 0.0);
+}
+
+/// A line that is not UTF-8 is one `parse` error, answered in order; the
+/// session serves the lines after it.
+#[test]
+fn a_non_utf8_line_is_answered_and_the_session_goes_on() {
+    let (addr, server, shared) = spawn_server(1, 1);
+    let mut conn = TcpStream::connect(addr).unwrap();
+    conn.write_all(b"\xc3\x28\n{\"event\":\"shutdown\"}\n")
+        .unwrap();
+    let mut reader = BufReader::new(conn);
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert!(
+        line.contains("parse error: request line is not valid UTF-8"),
+        "{line}"
+    );
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    assert!(
+        line.contains("\"ok\":true") && line.contains("shutdown"),
+        "{line}"
+    );
+    server.join().unwrap();
+    let by = errors_by_class_summed(&shared);
+    assert_eq!(by[1], 1, "one parse error ({by:?})");
+    assert_eq!(by[0], 0, "no io error ({by:?})");
 }
 
 /// Slow-loris reader: a client floods requests but refuses to read a single

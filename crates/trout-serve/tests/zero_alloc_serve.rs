@@ -6,10 +6,11 @@
 //! O(1) from its live aggregates, the feature row assembles and scales in
 //! place, the batch matrix and model scratch reshape within capacity, and
 //! the result slots overwrite in place — so a whole `predict_batch_into`
-//! flush must touch the global allocator **exactly zero** times, in both
-//! the exact and the packed-f32 inference modes. Pushing the window's
-//! response bytes out through the session's egress barrier (the reused
-//! buffer plus the commit) is inside the guarantee too.
+//! flush must touch the global allocator **exactly zero** times. Pushing
+//! the window's response bytes out through the session's egress barrier
+//! (the reused buffer plus the commit) is inside the guarantee too. The
+//! forward pass itself is held to the same bound at the paper architecture
+//! and the router's default batch cap, under one and two threads.
 //!
 //! Paths deliberately outside the guarantee: the first predict of a job
 //! (clones its raw row into the refit cache), journaling (serializes event
@@ -18,6 +19,11 @@
 
 use std::io::Write;
 
+use trout_core::{
+    featurize, BatchPredictionRequest, PredictionRequest, Predictor, QueueEstimate,
+    QueuePrediction, TroutConfig, TroutTrainer,
+};
+use trout_linalg::Matrix;
 use trout_obs::trace::{Stage, TraceRecord, N_STAGES};
 use trout_serve::engine::PredictQuery;
 use trout_serve::protocol::prediction_response;
@@ -30,12 +36,11 @@ use trout_std::alloc_count::{self, CountingAllocator};
 static ALLOC: CountingAllocator = CountingAllocator::new();
 
 /// Allocations in one fully-warmed predict flush over `BATCH` pending jobs.
-fn steady_state_allocations(infer_f32: bool) -> u64 {
+fn steady_state_allocations() -> u64 {
     const BATCH: usize = 8;
     let cfg = ServeConfig {
         refit_every: 0,
         seed: 7,
-        infer_f32,
         ..Default::default()
     };
     let shards = ShardSet::single(ServeEngine::bootstrap(300, &cfg));
@@ -119,12 +124,80 @@ fn steady_state_predict_is_allocation_free() {
     // One thread keeps the (already sub-threshold) kernels serial, so the
     // thread-count env read never happens inside the counted region.
     std::env::set_var("TROUT_THREADS", "1");
-    for infer_f32 in [false, true] {
-        let n = steady_state_allocations(infer_f32);
+    let n = steady_state_allocations();
+    std::env::remove_var("TROUT_THREADS");
+    assert_eq!(n, 0, "steady-state predict flush allocated {n} times");
+}
+
+/// Every numeric field of a prediction, as bits.
+fn bits(p: &QueuePrediction) -> (bool, u32, u32, Option<u32>) {
+    (
+        matches!(p.estimate, QueueEstimate::QuickStart),
+        p.quick_proba.to_bits(),
+        p.calibrated_proba.to_bits(),
+        p.minutes.map(f32::to_bits),
+    )
+}
+
+/// The paper architecture (`TroutConfig::default()`, untrained: the shapes
+/// are what matter) at the router's default batch cap of 32, with the
+/// regressor forced onto every row. Its first classifier layer is past the
+/// matmul's work threshold, so only the row floor keeps this flush serial:
+/// it must not allocate under one thread or two. Every batched answer, at
+/// batch sizes on both sides of that floor, must equal the one-row
+/// `Predictor::predict` answer bit for bit.
+#[test]
+fn paper_architecture_flush_is_allocation_free_and_matches_row_by_row() {
+    const BATCH: usize = 32;
+    let _serial = alloc_count::exclusive();
+    let trace = SimulationBuilder::anvil_like().jobs(900).seed(11).run();
+    let (ds, _) = featurize(&trace, 0.6, 11);
+    let cfg = TroutConfig {
+        classifier_epochs: 0,
+        regressor_epochs: 0,
+        ..TroutConfig::default()
+    };
+    let model = TroutTrainer::new(cfg).fit(&ds);
+    let rows = |lo: usize, n: usize| -> Matrix {
+        let idx: Vec<usize> = (lo..lo + n).collect();
+        ds.x.select_rows(&idx)
+    };
+    let x = rows(0, BATCH);
+    let req = BatchPredictionRequest::with_minutes(&x);
+    for threads in ["1", "2"] {
+        std::env::set_var("TROUT_THREADS", threads);
+        let mut scratch = model.scratch(BATCH);
+        let mut out = Vec::new();
+        model.predict_batch_into(req, &mut scratch, &mut out);
+        let (_, n) =
+            CountingAllocator::count(|| model.predict_batch_into(req, &mut scratch, &mut out));
         assert_eq!(
             n, 0,
-            "infer_f32={infer_f32}: steady-state predict flush allocated {n} times"
+            "TROUT_THREADS={threads}: a {BATCH}-row paper-architecture flush allocated {n} times"
         );
+        assert!(
+            out.iter().all(|p| p.minutes.is_some()),
+            "regressor ran on every row"
+        );
+
+        let mut lo = 0;
+        for size in [1, 2, 7, 31, 32, 33, 64, 127, 128, 129, 200] {
+            let xb = rows(lo, size);
+            model.predict_batch_into(
+                BatchPredictionRequest::with_minutes(&xb),
+                &mut scratch,
+                &mut out,
+            );
+            for (r, got) in out.iter().enumerate() {
+                let want = model.predict(PredictionRequest::with_minutes(xb.row(r)));
+                assert_eq!(
+                    bits(got),
+                    bits(&want),
+                    "TROUT_THREADS={threads}: batch of {size}, row {r} differs from row-by-row"
+                );
+            }
+            lo += size;
+        }
     }
     std::env::remove_var("TROUT_THREADS");
 }
