@@ -204,16 +204,6 @@ impl IncrementalSnapshot {
         self.eligible.get(p).map_or(0, AggTreap::len) + self.deferred.get(p).map_or(0, Vec::len)
     }
 
-    /// Jobs currently running in partition `p`.
-    pub fn running_len(&self, p: usize) -> usize {
-        self.running.get(p).map_or(0, AggTreap::len)
-    }
-
-    /// Total jobs tracked (all phases, before eviction).
-    pub fn tracked_len(&self) -> usize {
-        self.jobs.len()
-    }
-
     /// Looks up a tracked job.
     pub fn job(&self, id: u64) -> Option<&TrackedJob> {
         self.jobs.get(&id)

@@ -109,11 +109,6 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Iterates over rows as slices.
-    pub fn rows_iter(&self) -> impl Iterator<Item = &[f32]> {
-        self.data.chunks_exact(self.cols.max(1))
-    }
-
     /// The transpose (materialized).
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
@@ -356,14 +351,6 @@ impl Matrix {
         }
     }
 
-    /// `self + other` element-wise, in place.
-    pub fn add_assign(&mut self, other: &Matrix) {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
-        }
-    }
-
     /// Adds `row` (a 1 x cols vector) to every row — bias broadcast.
     pub fn add_row_broadcast(&mut self, row: &[f32]) {
         assert_eq!(row.len(), self.cols, "broadcast width mismatch");
@@ -397,11 +384,6 @@ impl Matrix {
                 *o += v;
             }
         }
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
     }
 
     /// Extracts the sub-matrix made of the given rows, in order.

@@ -45,11 +45,6 @@ impl Adam {
         self.lr
     }
 
-    /// Updates the learning rate (for schedules / HPO).
-    pub fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
     /// Applies one update step: `params -= lr * m_hat / (sqrt(v_hat) + eps)`.
     ///
     /// # Panics

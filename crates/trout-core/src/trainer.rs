@@ -1,7 +1,6 @@
 //! Training the hierarchical model.
 
 use trout_features::Dataset;
-use trout_linalg::Matrix;
 use trout_ml::calibration::PlattScaler;
 use trout_ml::nn::{Activation, Loss, Mlp, MlpConfig};
 use trout_ml::smote::{smote_balance, SmoteConfig};
@@ -252,28 +251,6 @@ impl TroutTrainer {
             target_transform: cfg.target_transform,
             calibrator,
         }
-    }
-
-    /// Trains on explicit `(x, y)` matrices (used by the leakage ablation,
-    /// which reorders rows outside any [`Dataset`]).
-    pub fn fit_xy(&self, x: &Matrix, y: &[f32]) -> HierarchicalModel {
-        let cfg = &self.config;
-        assert_eq!(x.rows(), y.len(), "x/y mismatch");
-        // Delegate through a temporary Dataset-free path: reuse fit_rows by
-        // building a minimal dataset facade is more code than duplicating the
-        // two stages, so wrap: construct a Dataset-like flow inline.
-        let ds = Dataset {
-            x: x.clone(),
-            raw: x.clone(),
-            y_queue_min: y.to_vec(),
-            ids: (0..y.len() as u64).collect(),
-            scaler: trout_features::Scaling::None.fit(x),
-        };
-        let all: Vec<usize> = (0..ds.len()).collect();
-        TroutTrainer {
-            config: cfg.clone(),
-        }
-        .fit_rows(&ds, &all)
     }
 }
 

@@ -16,6 +16,8 @@
 //! operator-facing signal for when warm-start refits stop keeping up.
 
 use std::collections::HashMap;
+use std::convert::Infallible;
+use std::io::{self, Write};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
@@ -33,7 +35,7 @@ use trout_linalg::Matrix;
 use trout_slurmsim::{JobRecord, SimulationBuilder, Trace};
 use trout_workload::ClusterSpec;
 
-use trout_std::fsio::atomic_write;
+use trout_std::fsio::atomic_write_with;
 use trout_std::json::{FromJson, Json, JsonError, ToJson};
 
 use crate::journal::{Durability, Journal, JOURNAL_FILE, SNAPSHOT_FILE};
@@ -293,6 +295,9 @@ pub struct ServeEngine {
     /// Pending compaction policy, applied to the [`Durability`] attachment
     /// when (or after) `open_state_dir` arms it.
     compact_on_snapshot: bool,
+    /// Serialized text of the published artefacts, copied into each
+    /// snapshot. Empty until the first snapshot.
+    artefact_text: ArtefactText,
 }
 
 impl ServeEngine {
@@ -334,6 +339,7 @@ impl ServeEngine {
             durability: None,
             replaying: false,
             compact_on_snapshot: false,
+            artefact_text: ArtefactText::default(),
         }
     }
 
@@ -685,11 +691,6 @@ impl ServeEngine {
         Ok(())
     }
 
-    /// Whether a state dir is attached (journaling is live).
-    pub fn is_durable(&self) -> bool {
-        self.durability.is_some()
-    }
-
     /// Mutable access to the online policy (the CLI sets the journal fsync
     /// knob here before arming durability; refit policy changes are legal
     /// any time between refits).
@@ -760,24 +761,24 @@ impl ServeEngine {
         }
     }
 
-    /// Serializes the engine state and atomically replaces the snapshot
-    /// file, fsyncing the journal first so the recorded watermark never
-    /// points past the durable journal prefix.
+    /// Streams the engine state into the snapshot file and atomically
+    /// replaces it, fsyncing the journal first so the recorded watermark
+    /// never points past the durable journal prefix. The two published
+    /// artefacts go in as cached text; every other member is serialized as
+    /// it is written.
     pub fn write_snapshot(&mut self) -> Result<(), TroutError> {
-        if self.durability.is_none() {
+        let t = Instant::now();
+        let Some(d) = self.durability.as_mut() else {
             return Err(TroutError::Config(
                 "write_snapshot: no state dir attached".into(),
             ));
-        }
-        let t = Instant::now();
-        let state = self.state_to_json();
-        let d = self.durability.as_mut().expect("checked above");
+        };
         d.journal.sync()?;
-        let snap = Json::Obj(vec![
-            ("journal_pos".to_string(), d.journal.appends().to_json()),
-            ("state".to_string(), state),
-        ]);
-        atomic_write(&d.dir.join(SNAPSHOT_FILE), snap.to_string().as_bytes())?;
+        let pos = d.journal.appends();
+        let path = d.dir.join(SNAPSHOT_FILE);
+        self.artefact_text.refresh(&self.model, &self.runtime_model);
+        atomic_write_with(&path, |w| self.write_snapshot_to(w, pos))?;
+        let d = self.durability.as_mut().expect("checked above");
         d.since_snapshot = 0;
         if d.compact {
             // The snapshot just made durable covers every journal entry, so
@@ -794,6 +795,24 @@ impl ServeEngine {
             .record(t.elapsed().as_micros() as u64);
         self.metrics.snapshots_total.inc();
         Ok(())
+    }
+
+    /// Writes `{"journal_pos":pos,"state":…}` — the bytes of the same
+    /// document built as one [`Json`] value — one state member at a time.
+    /// Needs a refreshed [`ArtefactText`].
+    fn write_snapshot_to(&self, w: &mut impl Write, pos: u64) -> io::Result<()> {
+        write!(w, "{{\"journal_pos\":{pos},\"state\":{{")?;
+        let mut sep = "";
+        self.visit_state(|name, member| {
+            write!(w, "{sep}\"{name}\":")?;
+            sep = ",";
+            match member {
+                StateMember::Value(j) => j.write_io(w),
+                StateMember::RuntimeModel => w.write_all(self.artefact_text.runtime_model()),
+                StateMember::Model => w.write_all(self.artefact_text.model()),
+            }
+        })?;
+        w.write_all(b"}}")
     }
 
     /// Suppresses journaling and snapshotting while recovery replays the
@@ -818,76 +837,93 @@ impl ServeEngine {
     /// All maps serialize in sorted key order: identical states produce
     /// identical bytes.
     pub fn state_to_json(&self) -> Json {
+        let mut members = Vec::new();
+        let Ok(()) = self.visit_state(|name, member| -> Result<(), Infallible> {
+            let value = match member {
+                StateMember::Value(j) => j,
+                StateMember::RuntimeModel => self.runtime_model.to_json(),
+                StateMember::Model => ToJson::to_json(self.model.as_ref()),
+            };
+            members.push((name.to_string(), value));
+            Ok(())
+        });
+        Json::Obj(members)
+    }
+
+    /// The one member list of the state object, in order: `visit` sees each
+    /// member name with its value, built only when its turn comes, so the
+    /// snapshot writer holds one member's tree at a time. The two published
+    /// artefacts are passed by name for the caller to serialize or copy.
+    fn visit_state<E>(
+        &self,
+        mut visit: impl FnMut(&'static str, StateMember) -> Result<(), E>,
+    ) -> Result<(), E> {
+        use StateMember::Value;
+        visit("version", Value(1u64.to_json()))?;
+        visit("scaler", Value(self.scaler.to_json()))?;
+        visit("runtime_model", StateMember::RuntimeModel)?;
+        visit("model", StateMember::Model)?;
+        visit("index", Value(self.index.state_to_json()))?;
         let mut rows: Vec<(u64, &Vec<f32>)> =
             self.cached_rows.iter().map(|(k, v)| (*k, v)).collect();
         rows.sort_by_key(|(id, _)| *id);
+        visit(
+            "cached_rows",
+            Value(Json::Arr(
+                rows.iter()
+                    .map(|(id, row)| Json::Arr(vec![id.to_json(), row.to_json()]))
+                    .collect(),
+            )),
+        )?;
+        visit("history_raw", Value(self.history_raw.to_json()))?;
+        visit("history_y", Value(self.history_y.to_json()))?;
+        visit("history_ids", Value(self.history_ids.to_json()))?;
+        visit(
+            "completed_since_refit",
+            Value((self.completed_since_refit as u64).to_json()),
+        )?;
+        visit("latest_time", Value(self.latest_time.to_json()))?;
         let mut served: Vec<(u64, &QueuePrediction)> =
             self.drift.served.iter().map(|(k, v)| (*k, v)).collect();
         served.sort_by_key(|(id, _)| *id);
-        Json::Obj(vec![
-            ("version".to_string(), 1u64.to_json()),
-            ("scaler".to_string(), ToJson::to_json(&self.scaler)),
-            (
-                "runtime_model".to_string(),
-                ToJson::to_json(&self.runtime_model),
-            ),
-            ("model".to_string(), ToJson::to_json(self.model.as_ref())),
-            ("index".to_string(), self.index.state_to_json()),
-            (
-                "cached_rows".to_string(),
-                Json::Arr(
-                    rows.iter()
-                        .map(|(id, row)| Json::Arr(vec![id.to_json(), row.to_json()]))
-                        .collect(),
+        visit(
+            "drift",
+            Value(Json::Obj(vec![
+                (
+                    "served".to_string(),
+                    Json::Arr(
+                        served
+                            .iter()
+                            .map(|(id, p)| Json::Arr(vec![id.to_json(), (*p).to_json()]))
+                            .collect(),
+                    ),
                 ),
-            ),
-            ("history_raw".to_string(), self.history_raw.to_json()),
-            ("history_y".to_string(), self.history_y.to_json()),
-            ("history_ids".to_string(), self.history_ids.to_json()),
-            (
-                "completed_since_refit".to_string(),
-                (self.completed_since_refit as u64).to_json(),
-            ),
-            ("latest_time".to_string(), self.latest_time.to_json()),
-            (
-                "drift".to_string(),
-                Json::Obj(vec![
-                    (
-                        "served".to_string(),
-                        Json::Arr(
-                            served
-                                .iter()
-                                .map(|(id, p)| Json::Arr(vec![id.to_json(), (*p).to_json()]))
-                                .collect(),
-                        ),
-                    ),
-                    ("joined".to_string(), self.drift.joined.to_json()),
-                    ("abs_err_sum".to_string(), self.drift.abs_err_sum.to_json()),
-                    ("within".to_string(), self.drift.within.to_json()),
-                    (
-                        "confusion".to_string(),
-                        self.drift.confusion.to_vec().to_json(),
-                    ),
-                ]),
-            ),
-            (
-                "counters".to_string(),
-                Json::Obj(vec![
-                    (
-                        "predicts".to_string(),
-                        self.metrics.predicts_total.get().to_json(),
-                    ),
-                    (
-                        "state_events".to_string(),
-                        self.metrics.state_events_total.get().to_json(),
-                    ),
-                    (
-                        "refits".to_string(),
-                        self.metrics.refits_total.get().to_json(),
-                    ),
-                ]),
-            ),
-        ])
+                ("joined".to_string(), self.drift.joined.to_json()),
+                ("abs_err_sum".to_string(), self.drift.abs_err_sum.to_json()),
+                ("within".to_string(), self.drift.within.to_json()),
+                (
+                    "confusion".to_string(),
+                    self.drift.confusion.to_vec().to_json(),
+                ),
+            ])),
+        )?;
+        visit(
+            "counters",
+            Value(Json::Obj(vec![
+                (
+                    "predicts".to_string(),
+                    self.metrics.predicts_total.get().to_json(),
+                ),
+                (
+                    "state_events".to_string(),
+                    self.metrics.state_events_total.get().to_json(),
+                ),
+                (
+                    "refits".to_string(),
+                    self.metrics.refits_total.get().to_json(),
+                ),
+            ])),
+        )
     }
 
     /// Restores the state [`state_to_json`](Self::state_to_json) captured
@@ -904,6 +940,7 @@ impl ServeEngine {
         self.scaler = FromJson::from_json_field(j.get("scaler"), "state.scaler")?;
         self.runtime_model =
             FromJson::from_json_field(j.get("runtime_model"), "state.runtime_model")?;
+        self.artefact_text.runtime_model = None;
         let model: HierarchicalModel = FromJson::from_json_field(j.get("model"), "state.model")?;
         self.index = IncrementalSnapshot::from_state_json(
             j.get("index")
@@ -1105,6 +1142,55 @@ impl ServeEngine {
 /// only; restore happens on a fresh engine, so the delta is the target).
 fn restore_counter(c: &trout_obs::Counter, target: u64) {
     c.add(target.saturating_sub(c.get()));
+}
+
+/// One member of the engine state object, as
+/// [`ServeEngine::visit_state`] yields it.
+enum StateMember {
+    /// A member serialized afresh at every visit.
+    Value(Json),
+    /// The runtime forest, replaced only by `restore_state`.
+    RuntimeModel,
+    /// The published model, replaced by a refit or `restore_state`.
+    Model,
+}
+
+/// Serialized text of the two state members that change only when a new
+/// artefact is published, so a snapshot copies them instead of serializing
+/// about 0.8 MB of weights and trees again.
+#[derive(Default)]
+struct ArtefactText {
+    /// The model the text was made from. Holding the `Arc` keeps its
+    /// allocation alive, so a later model can never reuse the address and
+    /// pass the pointer comparison.
+    model: Option<(Arc<HierarchicalModel>, String)>,
+    /// Cleared by `restore_state` when it replaces the forest.
+    runtime_model: Option<String>,
+}
+
+impl ArtefactText {
+    /// Makes again whichever text no longer matches the engine's artefacts.
+    fn refresh(&mut self, model: &Arc<HierarchicalModel>, runtime_model: &RuntimePredictor) {
+        if !matches!(&self.model, Some((m, _)) if Arc::ptr_eq(m, model)) {
+            self.model = Some((
+                Arc::clone(model),
+                ToJson::to_json(model.as_ref()).to_string(),
+            ));
+        }
+        if self.runtime_model.is_none() {
+            self.runtime_model = Some(runtime_model.to_json().to_string());
+        }
+    }
+
+    fn model(&self) -> &[u8] {
+        let (_, text) = self.model.as_ref().expect("refreshed before use");
+        text.as_bytes()
+    }
+
+    fn runtime_model(&self) -> &[u8] {
+        let text = self.runtime_model.as_ref().expect("refreshed before use");
+        text.as_bytes()
+    }
 }
 
 #[cfg(test)]

@@ -491,6 +491,8 @@ fn stream_to_follower(
     }
 
     // Stream loop. `cursors[i]` = next absolute position to ship.
+    let stream_id = shards.follower_streaming(watermarks.clone());
+    let _registered = FollowerGone(shards, stream_id);
     let mut cursors = watermarks;
     let mut acked = cursors.clone();
     stream.set_read_timeout(Some(Duration::from_millis(1)))?;
@@ -546,6 +548,7 @@ fn stream_to_follower(
                     if let ReplMessage::Ack { shard, watermark } = msg {
                         if shard < n {
                             acked[shard] = acked[shard].max(watermark);
+                            shards.follower_acked(stream_id, shard, watermark);
                         }
                     }
                 }
@@ -562,6 +565,15 @@ fn stream_to_follower(
         if idle {
             std::thread::sleep(Duration::from_millis(TAIL_POLL_MS));
         }
+    }
+}
+
+/// Unregisters a follower stream however its loop ends.
+struct FollowerGone<'a>(&'a ShardSet, u64);
+
+impl Drop for FollowerGone<'_> {
+    fn drop(&mut self) {
+        self.0.follower_gone(self.1);
     }
 }
 

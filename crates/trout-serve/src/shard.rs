@@ -144,6 +144,16 @@ pub struct ShardSet {
     /// Whether [`ShardSet::open_state_dir`] armed journaling — until then
     /// [`ShardSet::commit`] has nothing to sync and takes no lock.
     durable: AtomicBool,
+    /// Leader side: the watermarks each streaming follower last acked, per
+    /// shard, keyed by stream. Replication status computes lag from them
+    /// when asked, so it never trails the last ack.
+    follower_acks: Mutex<FollowerAcks>,
+}
+
+#[derive(Default)]
+struct FollowerAcks {
+    next_id: u64,
+    by_stream: Vec<(u64, Vec<u64>)>,
 }
 
 impl ShardSet {
@@ -162,6 +172,7 @@ impl ShardSet {
             read_only: AtomicBool::new(false),
             promote_requested: AtomicBool::new(false),
             durable: AtomicBool::new(false),
+            follower_acks: Mutex::new(FollowerAcks::default()),
         }
     }
 
@@ -358,6 +369,36 @@ impl ShardSet {
         self.lock(i).journal_synced()
     }
 
+    fn follower_acks(&self) -> MutexGuard<'_, FollowerAcks> {
+        self.follower_acks
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    /// Registers a follower stream that holds `watermarks` (its hello) and
+    /// returns the stream id its acks are recorded under.
+    pub(crate) fn follower_streaming(&self, watermarks: Vec<u64>) -> u64 {
+        let mut acks = self.follower_acks();
+        let id = acks.next_id;
+        acks.next_id += 1;
+        acks.by_stream.push((id, watermarks));
+        id
+    }
+
+    /// Records that follower stream `id` holds shard `shard` up to
+    /// `watermark`.
+    pub(crate) fn follower_acked(&self, id: u64, shard: usize, watermark: u64) {
+        let mut acks = self.follower_acks();
+        if let Some((_, w)) = acks.by_stream.iter_mut().find(|(s, _)| *s == id) {
+            w[shard] = w[shard].max(watermark);
+        }
+    }
+
+    /// Forgets follower stream `id` (its connection ended).
+    pub(crate) fn follower_gone(&self, id: u64) {
+        self.follower_acks().by_stream.retain(|(s, _)| *s != id);
+    }
+
     /// Syncs every shard's buffered journal appends (clean-shutdown path).
     pub fn sync_journals(&self) -> Result<(), TroutError> {
         for shard in &self.shards {
@@ -406,26 +447,30 @@ impl ShardSet {
     }
 
     /// The replication status payload: role plus per-shard watermark,
-    /// compaction base, connected-follower count, and lag (the leader-side
-    /// gauges are 0 on a follower).
+    /// compaction base, streaming-follower count, and lag — the synced
+    /// watermark minus the slowest follower's last ack, computed now (0
+    /// with no follower streaming, so always 0 on a follower).
     pub fn replication_status_json(&self) -> Json {
+        let acks = self.follower_acks();
         let shards: Vec<Json> = (0..self.shards.len())
             .map(|i| {
                 let g = self.lock(i);
+                let synced = g.journal_synced().unwrap_or_else(|| g.journal_position());
+                let lag = acks
+                    .by_stream
+                    .iter()
+                    .map(|(_, w)| synced.saturating_sub(w[i]))
+                    .max()
+                    .unwrap_or(0);
                 Json::Obj(vec![
                     ("watermark".into(), Json::Int(g.journal_position() as i128)),
                     ("base".into(), Json::Int(g.journal_base() as i128)),
-                    (
-                        "followers".into(),
-                        Json::Int(g.metrics.replication_followers.get() as i128),
-                    ),
-                    (
-                        "lag".into(),
-                        Json::Int(g.metrics.replication_lag_events.get() as i128),
-                    ),
+                    ("followers".into(), Json::Int(acks.by_stream.len() as i128)),
+                    ("lag".into(), Json::Int(lag as i128)),
                 ])
             })
             .collect();
+        drop(acks);
         Json::Obj(vec![
             ("ok".into(), Json::Bool(true)),
             ("event".into(), Json::Str("replication".into())),
@@ -455,7 +500,7 @@ impl ShardSet {
         let states: Vec<Json> = (0..self.shards.len())
             .map(|i| self.lock(i).state_to_json())
             .collect();
-        merge_states(&states)
+        merge_states(states)
     }
 
     /// Order-insensitive drift aggregates across shards: (joined pairs,
@@ -723,6 +768,28 @@ fn arr<'a>(j: &'a Json, key: &str) -> &'a [Json] {
     }
 }
 
+/// Removes the array member `key` from a state object and returns its items.
+fn take_arr(j: &mut Json, key: &str) -> Vec<Json> {
+    match j.remove(key) {
+        Some(Json::Arr(v)) => v,
+        other => panic!("state field `{key}` must be an array, got {other:?}"),
+    }
+}
+
+/// The member `key` of a state object.
+fn member<'a>(j: &'a Json, key: &str) -> &'a Json {
+    j.get(key)
+        .unwrap_or_else(|| panic!("state field `{key}` missing"))
+}
+
+/// The member `key` of a state object, for moving sections out of it.
+fn member_mut<'a>(j: &'a mut Json, key: &str) -> &'a mut Json {
+    j.as_object_mut()
+        .and_then(|members| members.iter_mut().find(|(k, _)| k == key))
+        .map(|(_, v)| v)
+        .unwrap_or_else(|| panic!("state field `{key}` missing"))
+}
+
 fn int(j: &Json, key: &str) -> i128 {
     match j.get(key) {
         Some(Json::Int(v)) => *v,
@@ -744,46 +811,50 @@ fn entry_id(e: &Json) -> i128 {
 /// Merges per-shard [`ServeEngine::state_to_json`] values into the canonical
 /// union form (see the module docs). With one state this *canonicalizes* it
 /// — id-sorting the order-dependent sections — which is exactly what lets
-/// `merge_states(&[n_shard…]) == merge_states(&[reference])` hold bitwise.
-fn merge_states(states: &[Json]) -> Json {
+/// `merge_states(n_shard…) == merge_states(reference)` hold bitwise.
+fn merge_states(mut states: Vec<Json>) -> Json {
     assert!(!states.is_empty());
-    let first = &states[0];
 
-    // Predict-routed maps: disjoint across shards, union + id-sort.
+    // Predict-routed maps: disjoint across shards, union + id-sort. Every
+    // section is moved out of its shard's state, never cloned: the state
+    // dump of a large daemon is the peak of its memory use.
     let mut cached: Vec<Json> = states
-        .iter()
-        .flat_map(|s| arr(s, "cached_rows"))
-        .cloned()
+        .iter_mut()
+        .flat_map(|s| take_arr(s, "cached_rows"))
         .collect();
     cached.sort_by_key(entry_id);
     let mut served: Vec<Json> = states
-        .iter()
-        .flat_map(|s| arr(s.get("drift").expect("state.drift"), "served"))
-        .cloned()
+        .iter_mut()
+        .flat_map(|s| take_arr(member_mut(s, "drift"), "served"))
         .collect();
     served.sort_by_key(entry_id);
 
     // Refit history: one (raw, y, id) triple per completed predicted job,
     // owned by the shard that predicted it; union + id-sort, re-split.
     let mut hist: Vec<(i128, Json, Json)> = Vec::new();
-    for s in states {
-        let raws = arr(s, "history_raw");
-        let ys = arr(s, "history_y");
-        let ids = arr(s, "history_ids");
+    for s in &mut states {
+        let raws = take_arr(s, "history_raw");
+        let ys = take_arr(s, "history_y");
+        let ids = take_arr(s, "history_ids");
         assert_eq!(raws.len(), ys.len());
         assert_eq!(raws.len(), ids.len());
-        for ((raw, y), id) in raws.iter().zip(ys).zip(ids) {
+        for ((raw, y), id) in raws.into_iter().zip(ys).zip(ids) {
             let id = match id {
-                Json::Int(v) => *v,
+                Json::Int(v) => v,
                 other => panic!("history id must be an integer, got {other:?}"),
             };
-            hist.push((id, raw.clone(), y.clone()));
+            hist.push((id, raw, y));
         }
     }
     hist.sort_by_key(|(id, _, _)| *id);
-    let history_ids: Vec<Json> = hist.iter().map(|(id, _, _)| Json::Int(*id)).collect();
-    let history_raw: Vec<Json> = hist.iter().map(|(_, raw, _)| raw.clone()).collect();
-    let history_y: Vec<Json> = hist.iter().map(|(_, _, y)| y.clone()).collect();
+    let mut history_ids = Vec::with_capacity(hist.len());
+    let mut history_raw = Vec::with_capacity(hist.len());
+    let mut history_y = Vec::with_capacity(hist.len());
+    for (id, raw, y) in hist {
+        history_ids.push(Json::Int(id));
+        history_raw.push(raw);
+        history_y.push(y);
+    }
 
     // Event-derived scalars are replicas: every shard applied every
     // lifecycle event, so they must agree (latest_time takes the max only to
@@ -792,13 +863,17 @@ fn merge_states(states: &[Json]) -> Json {
 
     // Routed integer counters sum exactly across shards.
     let completed: i128 = states.iter().map(|s| int(s, "completed_since_refit")).sum();
-    let drift_of = |s: &Json| s.get("drift").expect("state.drift").clone();
-    let joined: i128 = states.iter().map(|s| int(&drift_of(s), "joined")).sum();
-    let within: i128 = states.iter().map(|s| int(&drift_of(s), "within")).sum();
+    let joined: i128 = states
+        .iter()
+        .map(|s| int(member(s, "drift"), "joined"))
+        .sum();
+    let within: i128 = states
+        .iter()
+        .map(|s| int(member(s, "drift"), "within"))
+        .sum();
     let mut confusion = [0i128; 4];
-    for s in states {
-        let d = drift_of(s);
-        let cells = arr(&d, "confusion");
+    for s in &states {
+        let cells = arr(member(s, "drift"), "confusion");
         assert_eq!(cells.len(), 4);
         for (acc, c) in confusion.iter_mut().zip(cells) {
             match c {
@@ -807,22 +882,28 @@ fn merge_states(states: &[Json]) -> Json {
             }
         }
     }
-    let counters_of = |s: &Json| s.get("counters").expect("state.counters").clone();
     let predicts: i128 = states
         .iter()
-        .map(|s| int(&counters_of(s), "predicts"))
+        .map(|s| int(member(s, "counters"), "predicts"))
         .sum();
-    let refits: i128 = states.iter().map(|s| int(&counters_of(s), "refits")).sum();
+    let refits: i128 = states
+        .iter()
+        .map(|s| int(member(s, "counters"), "refits"))
+        .sum();
     // state_events is a replica count (each shard saw every event once).
-    let state_events = int(&counters_of(first), "state_events");
+    let state_events = int(member(&states[0], "counters"), "state_events");
 
-    let clone_of = |key: &str| first.get(key).unwrap_or(&Json::Null).clone();
+    // Replicated sections come from shard 0; the other shards' copies are
+    // dropped here, before the merged value is assembled.
+    states.truncate(1);
+    let mut first = states.pop().expect("one state");
+    let mut take = |key: &str| first.remove(key).unwrap_or(Json::Null);
     Json::Obj(vec![
-        ("version".into(), clone_of("version")),
-        ("scaler".into(), clone_of("scaler")),
-        ("runtime_model".into(), clone_of("runtime_model")),
-        ("model".into(), clone_of("model")),
-        ("index".into(), clone_of("index")),
+        ("version".into(), take("version")),
+        ("scaler".into(), take("scaler")),
+        ("runtime_model".into(), take("runtime_model")),
+        ("model".into(), take("model")),
+        ("index".into(), take("index")),
         ("cached_rows".into(), Json::Arr(cached)),
         ("history_raw".into(), Json::Arr(history_raw)),
         ("history_y".into(), Json::Arr(history_y)),
@@ -944,7 +1025,7 @@ mod tests {
                 ),
             ])
         };
-        let merged = merge_states(&[state(&[5, 2, 9])]);
+        let merged = merge_states(vec![state(&[5, 2, 9])]);
         let ids = arr(&merged, "history_ids");
         assert_eq!(
             ids,
@@ -966,8 +1047,8 @@ mod tests {
         );
 
         // Two disjoint shards merge to the same bytes as their union.
-        let two = merge_states(&[state(&[5, 9]), state(&[2])]);
-        let via_union = merge_states(&[state(&[5, 2, 9])]);
+        let two = merge_states(vec![state(&[5, 9]), state(&[2])]);
+        let via_union = merge_states(vec![state(&[5, 2, 9])]);
         // Counters differ (summed vs single) only where the split differs:
         // completed_since_refit 3 both ways, predicts 3 both ways.
         assert_eq!(

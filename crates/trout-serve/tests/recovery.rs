@@ -341,3 +341,68 @@ fn nonempty_state_dir_is_refused_without_recover() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Writes a snapshot of shard 0 and asserts the file holds exactly
+/// `{"journal_pos":P,"state":<state_to_json>}` for the engine as it is now.
+fn assert_snapshot_is_current_state(shards: &ShardSet, dir: &std::path::Path) {
+    let mut e = shards.lock(0);
+    e.write_snapshot().unwrap();
+    let want = format!(
+        "{{\"journal_pos\":{},\"state\":{}}}",
+        e.journal_position(),
+        e.state_to_json()
+    );
+    let got = std::fs::read_to_string(dir.join(trout_serve::SNAPSHOT_FILE)).unwrap();
+    assert!(got == want, "snapshot bytes differ from the engine state");
+}
+
+#[test]
+fn snapshots_track_refits_and_restores_byte_for_byte() {
+    let live = SimulationBuilder::anvil_like().jobs(150).seed(9).run();
+    let script = trout_serve::replay_script(&live, 3);
+    let (first, rest) = split_script(&script, 0.2);
+    let refits = |s: &ShardSet| s.lock(0).metrics.refits_total.get();
+
+    // Refit every 8 completions, so the rest of the script refits.
+    let engine = |seed| {
+        ServeEngine::bootstrap(
+            400,
+            &ServeConfig {
+                refit_every: 8,
+                seed,
+                ..Default::default()
+            },
+        )
+    };
+    let dir = state_dir("artefact_text");
+    let mut e = engine(3);
+    e.open_state_dir(&dir, 0, false).unwrap();
+    let shards = ShardSet::single(e);
+    serve(&shards, &first);
+    assert_eq!(refits(&shards), 0, "no refit before the first snapshot");
+    assert_snapshot_is_current_state(&shards, &dir);
+
+    // A refit publishes a new model: the next snapshot must carry it.
+    serve(&shards, &rest);
+    assert!(refits(&shards) > 0, "the rest of the script refits");
+    assert_snapshot_is_current_state(&shards, &dir);
+
+    // A restore replaces both the model and the runtime forest. The fresh
+    // engine bootstraps from another seed and snapshots its own artefacts
+    // first, so text left over from before the restore would show.
+    let state = shards.lock(0).state_to_json();
+    let dir2 = state_dir("artefact_text_restored");
+    let mut fresh = engine(4);
+    fresh.open_state_dir(&dir2, 0, false).unwrap();
+    let restored = ShardSet::single(fresh);
+    assert_snapshot_is_current_state(&restored, &dir2);
+    restored.lock(0).restore_state(&state).unwrap();
+    assert_snapshot_is_current_state(&restored, &dir2);
+    assert_eq!(
+        restored.lock(0).state_to_json().to_string(),
+        state.to_string()
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&dir2);
+}

@@ -428,3 +428,80 @@ fn sequential_followers_are_counted_out_as_they_leave() {
     assert_eq!(m.accept_backoffs_total.get(), 0);
     let _ = std::fs::remove_dir_all(&ldir);
 }
+
+/// The per-shard `lag` and the `followers` count of a
+/// `{"event":"replication"}` status line.
+fn replication_status(shards: &ShardSet) -> (Vec<u64>, u64) {
+    let out = serve(shards, "{\"event\":\"replication\"}\n");
+    let resp = Json::parse(out.lines().next().unwrap()).unwrap();
+    let int = |j: Option<&Json>| match j {
+        Some(Json::Int(v)) => *v as u64,
+        other => panic!("expected an integer, got {other:?}"),
+    };
+    let per_shard = resp.get("shards").unwrap().expect_arr("shards").unwrap();
+    (
+        per_shard.iter().map(|s| int(s.get("lag"))).collect(),
+        int(per_shard[0].get("followers")),
+    )
+}
+
+#[test]
+fn replication_status_never_reports_zero_lag_ahead_of_the_follower() {
+    let leader = Arc::new(shardset(2));
+    let ldir = state_dir("lag_leader");
+    leader.open_state_dir(&ldir, 0, false).unwrap();
+    let hub = spawn_replication_listener(
+        Arc::clone(&leader),
+        ldir.clone(),
+        TcpListener::bind("127.0.0.1:0").unwrap(),
+    )
+    .unwrap();
+    let addr = hub.addr().to_string();
+    let follower = Arc::new(shardset(2));
+    let fdir = state_dir("lag_follower");
+    follower.open_state_dir(&fdir, 0, false).unwrap();
+    let fthread = {
+        let shards = Arc::clone(&follower);
+        let dir = fdir.clone();
+        std::thread::spawn(move || run_follower(&shards, &dir, &addr))
+    };
+    wait_for("the follower to stream", 30, || {
+        replication_status(&leader).1 == 1
+    });
+
+    // Bursts of writes, each followed by a status straight away: until the
+    // follower has acked the synced entries, no shard may report lag 0.
+    let check = |synced: &[u64]| {
+        let (lags, _) = replication_status(&leader);
+        // Read after the status: the follower's watermark only grows, and
+        // it holds at least what it acked.
+        let held = follower.journal_watermarks();
+        for i in 0..2 {
+            assert!(
+                lags[i] > 0 || held[i] >= synced[i],
+                "shard {i} reported lag 0 with the follower at {} of {}",
+                held[i],
+                synced[i]
+            );
+        }
+        lags.iter().all(|&l| l == 0)
+    };
+    let live = SimulationBuilder::anvil_like().jobs(120).seed(9).run();
+    let script = trout_serve::replay_script(&live, 3);
+    let lines: Vec<&str> = script.lines().collect();
+    let mut synced = Vec::new();
+    for burst in lines.chunks(lines.len() / 8 + 1) {
+        serve(&leader, &(burst.join("\n") + "\n"));
+        synced = (0..2)
+            .map(|i| leader.synced_watermark(i).unwrap())
+            .collect();
+        check(&synced);
+    }
+    wait_for("the status to report zero lag", 30, || check(&synced));
+
+    hub.stop();
+    follower.request_promote();
+    fthread.join().unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&ldir);
+    let _ = std::fs::remove_dir_all(&fdir);
+}

@@ -3,7 +3,7 @@
 //! Three guarantees matter for a write-ahead log and its snapshots, and the
 //! standard library gives none of them by default:
 //!
-//! * **Atomic replace** — [`atomic_write`] writes a sibling temp file,
+//! * **Atomic replace** — [`atomic_write_with`] streams a sibling temp file,
 //!   fsyncs it, renames it over the target, then fsyncs the directory, so a
 //!   crash leaves either the old file or the new one, never a torn mix.
 //! * **Torn-tail discipline** — a crash mid-append leaves a partial final
@@ -17,7 +17,7 @@
 //! depend on it without cycles.
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 /// Fsyncs a directory so a rename or file creation inside it is durable.
@@ -30,16 +30,26 @@ pub fn sync_dir(dir: &Path) -> io::Result<()> {
     }
 }
 
-/// Writes `bytes` to `path` atomically: temp sibling, fsync, rename over the
-/// target, fsync the parent directory. A crash at any instant leaves either
-/// the previous file intact or the new one complete.
+/// Writes `bytes` to `path` atomically (see [`atomic_write_with`]).
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    atomic_write_with(path, |w| w.write_all(bytes))
+}
+
+/// Replaces `path` atomically with whatever `write` streams into a buffered
+/// writer: temp sibling, fsync, rename over the target, fsync the parent
+/// directory. A crash at any instant leaves either the previous file intact
+/// or the new one complete, and the document never has to exist in memory
+/// as one buffer.
+pub fn atomic_write_with(
+    path: &Path,
+    write: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
+) -> io::Result<()> {
     let dir = path.parent().unwrap_or_else(|| Path::new("."));
     let tmp = path.with_extension("tmp");
     {
-        let mut f = File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_data()?;
+        let mut w = BufWriter::with_capacity(1 << 16, File::create(&tmp)?);
+        write(&mut w)?;
+        w.into_inner().map_err(|e| e.into_error())?.sync_data()?;
     }
     std::fs::rename(&tmp, path)?;
     sync_dir(dir)
@@ -118,7 +128,11 @@ mod tests {
     fn atomic_write_replaces_contents() {
         let p = tmp("atomic");
         atomic_write(&p, b"first\n").unwrap();
-        atomic_write(&p, b"second\n").unwrap();
+        atomic_write_with(&p, |w| {
+            w.write_all(b"sec")?;
+            w.write_all(b"ond\n")
+        })
+        .unwrap();
         assert_eq!(std::fs::read_to_string(&p).unwrap(), "second\n");
         assert!(!p.with_extension("tmp").exists(), "temp file renamed away");
         std::fs::remove_file(&p).unwrap();

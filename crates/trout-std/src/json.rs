@@ -14,7 +14,8 @@
 //! `f32` widened to `f64` first so the reparsed value is bit-identical.
 //! Non-finite floats serialize as `null` and parse back as NaN.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
+use std::io;
 
 /// A parsed JSON document.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,6 +64,7 @@ impl Json {
     /// Parses a JSON document.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -133,83 +135,141 @@ impl Json {
         }
     }
 
-    fn write(&self, out: &mut String) {
+    /// Writes the compact text into any [`fmt::Write`] sink, formatting
+    /// numbers in place: no temporary `String` per value.
+    fn write_to<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(i) => {
-                out.push_str(&i.to_string());
-            }
+            Json::Null => out.write_str("null"),
+            Json::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
+            Json::Int(i) => write!(out, "{i}"),
             Json::Num(x) => {
                 if x.is_finite() {
-                    let s = x.to_string();
-                    out.push_str(&s);
+                    let mut num = FloatMarker { out, marked: false };
+                    write!(num, "{x}")?;
                     // Keep a float marker so integral floats stay floats.
-                    if !s.contains(['.', 'e', 'E']) {
-                        out.push_str(".0");
+                    if !num.marked {
+                        out.write_str(".0")?;
                     }
+                    Ok(())
                 } else {
                     // serde_json refuses NaN/inf; we degrade to null (read
                     // back as NaN) so a poisoned model still checkpoints.
-                    out.push_str("null");
+                    out.write_str("null")
                 }
             }
             Json::Str(s) => write_string(s, out),
             Json::Arr(items) => {
-                out.push('[');
+                out.write_char('[')?;
                 for (i, v) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    v.write(out);
+                    v.write_to(out)?;
                 }
-                out.push(']');
+                out.write_char(']')
             }
             Json::Obj(members) => {
-                out.push('{');
+                out.write_char('{')?;
                 for (i, (k, v)) in members.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    write_string(k, out);
-                    out.push(':');
-                    v.write(out);
+                    write_string(k, out)?;
+                    out.write_char(':')?;
+                    v.write_to(out)?;
                 }
-                out.push('}');
+                out.write_char('}')
             }
         }
+    }
+
+    /// Streams the compact text into an [`io::Write`] (the same bytes as
+    /// `to_string`, with no in-memory copy of the whole document).
+    pub fn write_io<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
+        let mut sink = IoSink {
+            inner: w,
+            err: None,
+        };
+        self.write_to(&mut sink).map_err(|_| {
+            sink.err
+                .unwrap_or_else(|| io::Error::other("json formatting failed"))
+        })
     }
 }
 
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // Build the text with direct `String` writes and hand it over in
+        // one piece: cheaper for the short wire lines than a dynamic
+        // formatter call per token. Large documents stream via `write_io`.
         let mut s = String::new();
-        self.write(&mut s);
+        self.write_to(&mut s)?;
         f.write_str(&s)
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
+/// Forwards a formatted float and notes whether its text carried a `.` or
+/// an exponent — only the float's own text is inspected.
+struct FloatMarker<'a, W> {
+    out: &'a mut W,
+    marked: bool,
+}
+
+impl<W: fmt::Write> fmt::Write for FloatMarker<'_, W> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.marked |= s.bytes().any(|b| matches!(b, b'.' | b'e' | b'E'));
+        self.out.write_str(s)
     }
-    out.push('"');
+}
+
+/// Adapts an [`io::Write`] to [`fmt::Write`], keeping the I/O error that
+/// `fmt::Error` cannot carry.
+struct IoSink<'a, W> {
+    inner: &'a mut W,
+    err: Option<io::Error>,
+}
+
+impl<W: io::Write> fmt::Write for IoSink<'_, W> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.inner.write_all(s.as_bytes()).map_err(|e| {
+            self.err = Some(e);
+            fmt::Error
+        })
+    }
+}
+
+/// Writes `s` as a quoted JSON string. Unescaped runs go out as slices;
+/// every byte that needs an escape is ASCII, so each cut is a char boundary.
+fn write_string<W: fmt::Write>(s: &str, out: &mut W) -> fmt::Result {
+    out.write_char('"')?;
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let esc = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.write_str(&s[run..i])?;
+        if esc.is_empty() {
+            write!(out, "\\u{b:04x}")?;
+        } else {
+            out.write_str(esc)?;
+        }
+        run = i + 1;
+    }
+    out.write_str(&s[run..])?;
+    out.write_char('"')
 }
 
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    /// The document; `bytes` is the same text, indexed bytewise.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -354,8 +414,7 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| JsonError::new("invalid utf-8 in number"))?;
+        let text = &self.text[start..self.pos];
         if !is_float {
             if let Ok(i) = text.parse::<i128>() {
                 return Ok(Json::Int(i));
@@ -416,12 +475,15 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| JsonError::new("invalid utf-8 in string"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the unescaped run up to the next quote or
+                    // backslash as one slice. Both are ASCII, so the cut is a
+                    // char boundary of the already-valid text.
+                    let end = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    out.push_str(&self.text[self.pos..end]);
+                    self.pos = end;
                 }
             }
         }
@@ -808,6 +870,62 @@ mod tests {
         assert_eq!(v.remove("a"), Some(Json::Int(1)));
         assert_eq!(v.get("a"), None);
         assert_eq!(v.to_string(), r#"{"b":2}"#);
+    }
+
+    #[test]
+    fn numbers_and_strings_write_the_std_formatted_bytes() {
+        for x in [0.0, -0.0, 1.0, 0.1, 1e21, 1e-7, 5e-324, f64::MAX, -2.5e10] {
+            let s = x.to_string();
+            let want = if s.contains(['.', 'e', 'E']) {
+                s
+            } else {
+                s + ".0"
+            };
+            assert_eq!(Json::Num(x).to_string(), want);
+        }
+        for i in [0i128, -1, i64::MIN as i128, u64::MAX as i128, i128::MAX] {
+            assert_eq!(Json::Int(i).to_string(), i.to_string());
+        }
+        let s = Json::Str("a\"b\\c\nd\re\tf\u{1}\u{1f}é😀".into()).to_string();
+        assert_eq!(s, r#""a\"b\\c\nd\re\tf\u0001\u001fé😀""#);
+    }
+
+    #[test]
+    fn write_io_streams_the_display_bytes() {
+        let v = Json::parse(r#"{"a":[1,2.5,-0.0,null,true,"x\ny"],"b":{"c":1e300}}"#).unwrap();
+        let mut buf = Vec::new();
+        v.write_io(&mut buf).unwrap();
+        assert_eq!(String::from_utf8(buf).unwrap(), v.to_string());
+    }
+
+    /// A document of `n` records, each holding strings with escapes and
+    /// multi-byte characters, numbers and nesting.
+    fn scaling_doc(n: usize) -> String {
+        let rec = r#"{"name":"partition-wholenode αβγ \"quoted\" and a long tail of plain text","v":[1,2.5,-3e-4]}"#;
+        format!("[{}]", vec![rec; n].join(","))
+    }
+
+    #[test]
+    fn parse_time_scales_linearly_with_document_size() {
+        // Quadratic work would make the 16x document about 256x slower;
+        // linear work stays near 16x. Fastest of k runs damps scheduling noise.
+        fn fastest(doc: &str) -> f64 {
+            (0..7)
+                .map(|_| {
+                    let t = std::time::Instant::now();
+                    std::hint::black_box(Json::parse(doc).unwrap());
+                    t.elapsed().as_secs_f64()
+                })
+                .fold(f64::INFINITY, f64::min)
+        }
+        let (small, large) = (scaling_doc(64), scaling_doc(64 * 16));
+        let ratio = fastest(&large) / fastest(&small);
+        assert!(
+            ratio <= 40.0,
+            "16x document took {ratio:.1}x as long ({} vs {} bytes)",
+            large.len(),
+            small.len()
+        );
     }
 
     #[test]
