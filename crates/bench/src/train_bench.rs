@@ -5,8 +5,9 @@
 //! * `bench_train_epochs` times full `Mlp::train` runs on a fixed synthetic
 //!   design matrix and reports **epoch throughput in rows/sec** — the number
 //!   the workspace refactor is accountable to. Outside smoke mode it writes
-//!   `BENCH_train.json` with the rows/sec per configuration so pre/post
-//!   baselines can be diffed directly.
+//!   `BENCH_train.json` with every timing run's rows/sec per configuration
+//!   (as min / median / max) and the machine it ran on (core count, SIMD
+//!   tier, `TROUT_THREADS`), so pre/post baselines can be diffed directly.
 //! * `bench_matmul_kernels` times the three matmul kernels (`a@b`, `a@b^T`,
 //!   `a^T@b`) at MLP-shaped sizes, below and above the parallel threshold.
 //!
@@ -14,7 +15,7 @@
 //! so the bench isolates the numeric loop — no featurization cost, no
 //! simulator noise, stable shapes.
 
-use trout_linalg::{Matrix, SplitMix64};
+use trout_linalg::{Matrix, SimdTier, SplitMix64};
 use trout_ml::nn::{Activation, Loss, Mlp, MlpConfig};
 use trout_std::bench::{black_box, write_report, BenchmarkId, Criterion};
 use trout_std::json::Json;
@@ -85,17 +86,25 @@ pub fn bench_train_epochs(c: &mut Criterion) {
         cfg.batch_size = 256;
         cfg.seed = 3;
 
-        // Hand-timed rows/sec for the report: the mean over a few full
-        // train runs, each `epochs` passes over `rows` rows.
-        let timing_runs = if smoke { 1 } else { 3 };
-        let t0 = std::time::Instant::now();
-        for _ in 0..timing_runs {
-            black_box(Mlp::train(&cfg, &x, &y));
-        }
-        let elapsed = t0.elapsed().as_secs_f64();
-        let rows_per_sec = (timing_runs * case.epochs * rows) as f64 / elapsed.max(1e-9);
+        // Hand-timed rows/sec for the report: one figure per full train
+        // run (`epochs` passes over `rows` rows), reported as its spread.
+        let timing_runs = if smoke { 1 } else { 7 };
+        let mut per_run: Vec<f64> = (0..timing_runs)
+            .map(|_| {
+                let t0 = std::time::Instant::now();
+                black_box(Mlp::train(&cfg, &x, &y));
+                (case.epochs * rows) as f64 / t0.elapsed().as_secs_f64().max(1e-9)
+            })
+            .collect();
+        per_run.sort_by(f64::total_cmp);
+        let (min, median, max) = (
+            per_run[0],
+            per_run[per_run.len() / 2],
+            per_run[per_run.len() - 1],
+        );
         eprintln!(
-            "bench train/{}: {rows_per_sec:.0} rows/sec ({} epochs x {rows} rows)",
+            "bench train/{}: {median:.0} rows/sec median, {min:.0}..{max:.0} over {timing_runs} \
+             runs ({} epochs x {rows} rows)",
             case.name, case.epochs
         );
         results.push((
@@ -103,7 +112,15 @@ pub fn bench_train_epochs(c: &mut Criterion) {
             Json::Obj(vec![
                 ("rows".into(), Json::Int(rows as i128)),
                 ("epochs".into(), Json::Int(case.epochs as i128)),
-                ("rows_per_sec".into(), Json::Num(rows_per_sec)),
+                ("runs".into(), Json::Int(timing_runs as i128)),
+                (
+                    "rows_per_sec".into(),
+                    Json::Obj(vec![
+                        ("min".into(), Json::Num(min)),
+                        ("median".into(), Json::Num(median)),
+                        ("max".into(), Json::Num(max)),
+                    ]),
+                ),
             ]),
         ));
 
@@ -114,8 +131,18 @@ pub fn bench_train_epochs(c: &mut Criterion) {
     group.finish();
 
     if !smoke {
+        let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let threads = std::env::var("TROUT_THREADS").map_or(Json::Null, Json::Str);
         let report = Json::Obj(vec![
             ("group".into(), Json::Str("train".into())),
+            (
+                "machine".into(),
+                Json::Obj(vec![
+                    ("nproc".into(), Json::Int(nproc as i128)),
+                    ("simd".into(), Json::Str(SimdTier::active().name().into())),
+                    ("trout_threads".into(), threads),
+                ]),
+            ),
             ("throughput".into(), Json::Obj(results)),
         ]);
         write_report("train", &report);

@@ -422,9 +422,12 @@ impl Mlp {
             block
                 .act
                 .forward_slice(lw.pre_act.as_slice(), lw.output.as_mut_slice());
-            // Inverted dropout on hidden activations only.
+            // Inverted dropout on hidden activations only. Selects, not a
+            // branch: a dropped unit is exactly +0.0 (never `o · 0`, which
+            // keeps the sign of a negative ELU output).
             if dropout > 0.0 && li + 1 < depth {
                 let keep = 1.0 - dropout;
+                let scale = 1.0 / keep;
                 lw.mask.reshape_scratch(lw.output.rows(), lw.output.cols());
                 for (m, o) in lw
                     .mask
@@ -432,13 +435,9 @@ impl Mlp {
                     .iter_mut()
                     .zip(lw.output.as_mut_slice())
                 {
-                    if rng.next_f32() < keep {
-                        *m = 1.0 / keep;
-                        *o *= *m;
-                    } else {
-                        *m = 0.0;
-                        *o = 0.0;
-                    }
+                    let kept = rng.next_f32() < keep;
+                    *m = if kept { scale } else { 0.0 };
+                    *o = if kept { *o * scale } else { 0.0 };
                 }
             }
         }
@@ -468,19 +467,23 @@ impl Mlp {
             let (prev, rest) = ws.layers.split_at_mut(li);
             let lw = &mut rest[0];
             let block = &self.blocks[li];
-            // Dropout mask (already includes the 1/keep scaling).
-            if self.dropout > 0.0 && li + 1 < depth {
-                for (g, &m) in lw.grad.as_mut_slice().iter_mut().zip(lw.mask.as_slice()) {
-                    *g *= m;
-                }
-            }
-            // Activation derivative, in place on the gradient.
+            // Dropout mask (already includes the 1/keep scaling), then the
+            // activation derivative, in one pass in place on the gradient.
             {
                 let gs = lw.grad.as_mut_slice();
                 let zs = lw.pre_act.as_slice();
                 let avs = lw.output.as_slice();
-                for ((g, &z), &a) in gs.iter_mut().zip(zs).zip(avs) {
-                    *g *= block.act.derivative(z, a);
+                let act = block.act;
+                if self.dropout > 0.0 && li + 1 < depth {
+                    for (((g, &z), &a), &m) in
+                        gs.iter_mut().zip(zs).zip(avs).zip(lw.mask.as_slice())
+                    {
+                        *g = *g * m * act.derivative(z, a);
+                    }
+                } else {
+                    for ((g, &z), &a) in gs.iter_mut().zip(zs).zip(avs) {
+                        *g *= act.derivative(z, a);
+                    }
                 }
             }
             // Batch norm.

@@ -85,12 +85,6 @@ pub fn smote_balance(x: &Matrix, labels: &[f32], cfg: &SmoteConfig) -> (Matrix, 
     let target_min = ((kept_maj.len() as f32 * cfg.target_ratio) as usize).max(min_idx.len());
     let synth_needed = target_min - min_idx.len();
 
-    // Neighbour search in standardized space over the minority set.
-    let min_x = x.select_rows(&min_idx);
-    let scaler = Standardizer::fit(&min_x);
-    let min_std = scaler.transform(&min_x);
-    let k = cfg.k.min(min_idx.len().saturating_sub(1)).max(1);
-
     let mut rows: Vec<f32> = Vec::with_capacity((kept_maj.len() + target_min) * x.cols());
     let mut y: Vec<f32> = Vec::with_capacity(kept_maj.len() + target_min);
     for &i in &kept_maj {
@@ -108,11 +102,21 @@ pub fn smote_balance(x: &Matrix, labels: &[f32], cfg: &SmoteConfig) -> (Matrix, 
             rows.extend_from_slice(x.row(min_idx[0]));
             y.push(min_label);
         }
-    } else {
-        // Precompute each minority row's k nearest minority neighbours.
+    } else if synth_needed > 0 {
+        // Neighbour search in standardized space over the minority set.
+        let min_x = x.select_rows(&min_idx);
+        let scaler = Standardizer::fit(&min_x);
+        let min_std = scaler.transform(&min_x);
+        let k = cfg.k.min(min_idx.len().saturating_sub(1)).max(1);
+        // Synthetic row `s` interpolates from minority point `s % n_min`, so
+        // only the first `min(synth_needed, n_min)` points ever need their k
+        // nearest minority neighbours. When the majority cap leaves the
+        // classes already balanced (the production config), nothing is
+        // synthesized and no distance is computed at all.
         let n_min = min_idx.len();
-        let mut neighbours: Vec<Vec<usize>> = Vec::with_capacity(n_min);
-        for a in 0..n_min {
+        let sources = synth_needed.min(n_min);
+        let mut neighbours: Vec<Vec<usize>> = Vec::with_capacity(sources);
+        for a in 0..sources {
             let mut dists: Vec<(f32, usize)> = (0..n_min)
                 .filter(|&b| b != a)
                 .map(|b| (dist2(min_std.row(a), min_std.row(b)), b))
@@ -230,6 +234,69 @@ mod tests {
             if label >= 0.5 {
                 assert_eq!(bx.row(r)[0], 9.0);
             }
+        }
+    }
+
+    /// Classic SMOTE with the full O(n_min²) neighbour table, for a caller
+    /// that keeps every majority row (so the RNG serves synthesis alone).
+    fn brute_force_reference(x: &Matrix, labels: &[f32], cfg: &SmoteConfig) -> Vec<f32> {
+        assert!(cfg.majority_cap_ratio.is_none());
+        let min_idx: Vec<usize> = (0..labels.len()).filter(|&i| labels[i] >= 0.5).collect();
+        let maj_idx: Vec<usize> = (0..labels.len()).filter(|&i| labels[i] < 0.5).collect();
+        let min_std =
+            Standardizer::fit(&x.select_rows(&min_idx)).transform(&x.select_rows(&min_idx));
+        let n_min = min_idx.len();
+        let neighbours: Vec<Vec<usize>> = (0..n_min)
+            .map(|a| {
+                let mut d: Vec<(f32, usize)> = (0..n_min)
+                    .filter(|&b| b != a)
+                    .map(|b| (dist2(min_std.row(a), min_std.row(b)), b))
+                    .collect();
+                d.sort_by(|p, q| p.0.total_cmp(&q.0));
+                d.into_iter().take(cfg.k).map(|(_, b)| b).collect()
+            })
+            .collect();
+        let mut rng = SplitMix64::new(cfg.seed ^ 0x534d_4f54_4500);
+        let mut rows: Vec<f32> = Vec::new();
+        for &i in maj_idx.iter().chain(&min_idx) {
+            rows.extend_from_slice(x.row(i));
+        }
+        let target = (maj_idx.len() as f32 * cfg.target_ratio) as usize;
+        for s in 0..target - n_min {
+            let a = s % n_min;
+            let nb = neighbours[a][rng.next_below(cfg.k as u64) as usize];
+            let gap = rng.next_f32();
+            for (va, vb) in x.row(min_idx[a]).iter().zip(x.row(min_idx[nb])) {
+                rows.push(va + gap * (vb - va));
+            }
+        }
+        rows
+    }
+
+    #[test]
+    fn partial_neighbour_table_matches_brute_force() {
+        // 30 majority rows against 20 minority rows: 10 synthetic rows, so
+        // only half the minority points need neighbour lists. A 3:1 ratio
+        // wraps the round-robin past n_min too.
+        let mut rng = SplitMix64::new(11);
+        let x = Matrix::from_fn(50, 3, |_, _| rng.uniform(-2.0, 2.0));
+        let y: Vec<f32> = (0..50).map(|i| if i % 5 < 2 { 1.0 } else { 0.0 }).collect();
+        for target_ratio in [1.0, 3.0] {
+            let cfg = SmoteConfig {
+                majority_cap_ratio: None,
+                target_ratio,
+                seed: 4,
+                ..Default::default()
+            };
+            let (bx, by) = smote_balance(&x, &y, &cfg);
+            let want = brute_force_reference(&x, &y, &cfg);
+            assert_eq!(by.len() * 3, want.len());
+            let same = bx
+                .as_slice()
+                .iter()
+                .zip(&want)
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same, "target_ratio {target_ratio}: rows diverged");
         }
     }
 

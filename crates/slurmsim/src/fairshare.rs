@@ -14,6 +14,10 @@ pub struct FairShareTracker {
     usage: Vec<(f64, i64)>,
     shares: Vec<f64>,
     total_shares: f64,
+    /// The left-to-right sum of every user's decayed usage, kept until some
+    /// usage value changes: the scheduler asks for a factor per pending job
+    /// per pass, too often for an O(users) sum each time.
+    total_usage: Option<f64>,
 }
 
 impl FairShareTracker {
@@ -32,6 +36,7 @@ impl FairShareTracker {
             usage: vec![(0.0, 0); shares.len()],
             shares,
             total_shares,
+            total_usage: None,
         }
     }
 
@@ -39,7 +44,16 @@ impl FairShareTracker {
         let (u, last) = &mut self.usage[user as usize];
         if now > *last {
             let dt = (now - *last) as f64;
-            *u *= 0.5f64.powf(dt / self.half_life_secs);
+            // `0.5^x` written as `exp2(-x)`: an optimized build rewrites a
+            // `powf` with a power-of-two base into `exp2`, which rounds
+            // differently from `pow`, so spelling it out keeps debug and
+            // release builds simulating the same trace (here and in
+            // `factor`).
+            let decayed = *u * (-(dt / self.half_life_secs)).exp2();
+            if decayed.to_bits() != u.to_bits() {
+                self.total_usage = None;
+            }
+            *u = decayed;
             *last = now;
         }
         *u
@@ -49,6 +63,7 @@ impl FairShareTracker {
     pub fn add_usage(&mut self, user: u32, cpu_seconds: f64, now: i64) {
         self.decay_to(user, now);
         self.usage[user as usize].0 += cpu_seconds;
+        self.total_usage = None;
     }
 
     /// Raw decayed usage of `user` at `now` (cpu-seconds).
@@ -60,13 +75,15 @@ impl FairShareTracker {
     /// 1 for users with no recent usage, approaching 0 for heavy users.
     pub fn factor(&mut self, user: u32, now: i64) -> f64 {
         let u = self.decay_to(user, now);
-        let total_usage: f64 = self.usage.iter().map(|(x, _)| x).sum();
+        let total_usage = *self
+            .total_usage
+            .get_or_insert_with(|| self.usage.iter().map(|(x, _)| x).sum());
         if total_usage <= 0.0 {
             return 1.0;
         }
         let u_norm = u / total_usage;
         let s_norm = self.shares[user as usize] / self.total_shares;
-        2.0f64.powf(-u_norm / s_norm.max(1e-12))
+        (-u_norm / s_norm.max(1e-12)).exp2()
     }
 }
 
@@ -121,6 +138,29 @@ mod tests {
         fs.add_usage(0, 1e12, 0);
         let f = fs.factor(0, 0);
         assert!((0.0..=1.0).contains(&f));
+    }
+
+    #[test]
+    fn cached_total_matches_a_fresh_sum() {
+        let mut fs = FairShareTracker::new(vec![1.0, 2.0, 0.5, 3.0, 1.0], 7.0 * DAY);
+        let mut rng = trout_linalg::SplitMix64::new(3);
+        let mut now = 0i64;
+        for step in 0..2_000 {
+            now += rng.next_below(3) as i64 * rng.next_below(5_000) as i64;
+            let user = rng.next_below(5) as u32;
+            if step % 7 == 0 {
+                fs.add_usage(user, rng.uniform(0.0, 1e6) as f64, now);
+            }
+            let got = fs.factor(user, now);
+            let total: f64 = fs.usage.iter().map(|(x, _)| x).sum();
+            let want = if total <= 0.0 {
+                1.0
+            } else {
+                let s_norm = fs.shares[user as usize] / fs.total_shares;
+                (-(fs.usage[user as usize].0 / total) / s_norm.max(1e-12)).exp2()
+            };
+            assert_eq!(got.to_bits(), want.to_bits(), "step {step}");
+        }
     }
 
     #[test]

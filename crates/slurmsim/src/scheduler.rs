@@ -12,7 +12,7 @@
 //! which is what makes queue times noisy and worth predicting.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeSet, BinaryHeap};
 
 use trout_workload::{ClusterSpec, JobRequest, Qos, UserPopulation};
 
@@ -72,6 +72,48 @@ struct RunningJob {
     incarnation: u32,
     user: u32,
     cpus: u32,
+}
+
+/// Every running job, one slot per job id, beside an index of each pool's
+/// running ids. Backfill reservations and preemption walk one pool's jobs
+/// per blocked head, so the walk costs O(that pool's running jobs). It
+/// visits them in ascending id order: the stable sorts downstream break
+/// ties by that order, and the trace depends on it.
+#[derive(Debug)]
+struct RunningSet {
+    slots: Vec<Option<RunningJob>>,
+    by_pool: Vec<BTreeSet<u64>>,
+}
+
+impl RunningSet {
+    fn new(jobs: usize, pools: usize) -> Self {
+        RunningSet {
+            slots: (0..jobs).map(|_| None).collect(),
+            by_pool: vec![BTreeSet::new(); pools],
+        }
+    }
+
+    fn get(&self, id: u64) -> Option<&RunningJob> {
+        self.slots[id as usize].as_ref()
+    }
+
+    fn insert(&mut self, id: u64, rj: RunningJob) {
+        self.by_pool[rj.pool].insert(id);
+        self.slots[id as usize] = Some(rj);
+    }
+
+    fn take(&mut self, id: u64) -> Option<RunningJob> {
+        let rj = self.slots[id as usize].take()?;
+        self.by_pool[rj.pool].remove(&id);
+        Some(rj)
+    }
+
+    /// `pool`'s running jobs in ascending job-id order.
+    fn in_pool(&self, pool: usize) -> impl Iterator<Item = &RunningJob> {
+        self.by_pool[pool]
+            .iter()
+            .map(|&id| self.slots[id as usize].as_ref().expect("indexed job runs"))
+    }
 }
 
 /// End events carry the job's incarnation in the id's high bits so an end
@@ -165,7 +207,7 @@ pub fn simulate(
     }
 
     let mut pending: Vec<PendingJob> = Vec::new();
-    let mut running: Vec<Option<RunningJob>> = (0..n).map(|_| None).collect();
+    let mut running = RunningSet::new(n, pools.len());
     let mut records: Vec<Option<JobRecord>> = vec![None; n];
     let mut incarnations: Vec<u32> = vec![0; n];
 
@@ -181,13 +223,13 @@ pub fn simulate(
                     let (jid, incarnation) = unpack_end_id(id);
                     // A preempted job's original end event is stale: the job
                     // was requeued (or restarted) under a newer incarnation.
-                    let is_current = running[jid as usize]
-                        .as_ref()
+                    let is_current = running
+                        .get(jid)
                         .is_some_and(|rj| rj.incarnation == incarnation);
                     if !is_current {
                         continue;
                     }
-                    let rj = running[jid as usize].take().expect("current incarnation");
+                    let rj = running.take(jid).expect("current incarnation");
                     pools[rj.pool].free(&rj.nodes, &rj.demand);
                     let cpu_secs = rj.cpus as f64 * (t - rj.start_time) as f64;
                     fairshare.add_usage(rj.user, cpu_secs, t);
@@ -280,7 +322,7 @@ fn schedule_pass(
     t: i64,
     pending: &mut Vec<PendingJob>,
     pools: &mut [NodePool],
-    running: &mut [Option<RunningJob>],
+    running: &mut RunningSet,
     records: &mut [Option<JobRecord>],
     events: &mut BinaryHeap<Reverse<(i64, u8, u64)>>,
     engine: &PriorityEngine,
@@ -326,7 +368,8 @@ fn schedule_pass(
                 continue;
             };
             for vid in victims {
-                let rj = running[vid as usize].take().expect("victim running");
+                let rj = running.take(vid).expect("victim running");
+                trout_obs::counter!("sim.preemptions_total").inc();
                 pools[rj.pool].free(&rj.nodes, &rj.demand);
                 // Charge the partial run to fair-share, as SLURM accounting does.
                 fairshare.add_usage(rj.user, rj.cpus as f64 * (t - rj.start_time) as f64, t);
@@ -399,13 +442,12 @@ fn schedule_pass(
 fn select_preemption_victims(
     pool: &NodePool,
     demand: &Demand,
-    running: &[Option<RunningJob>],
+    running: &RunningSet,
     pool_idx: usize,
 ) -> Option<Vec<u64>> {
     let mut candidates: Vec<&RunningJob> = running
-        .iter()
-        .flatten()
-        .filter(|rj| rj.pool == pool_idx && rj.request.qos == Qos::Standby)
+        .in_pool(pool_idx)
+        .filter(|rj| rj.request.qos == Qos::Standby)
         .collect();
     if candidates.is_empty() {
         return None;
@@ -438,7 +480,7 @@ fn start_job(
     t: i64,
     p: &PendingJob,
     nodes: Vec<u32>,
-    running: &mut [Option<RunningJob>],
+    running: &mut RunningSet,
     records: &mut [Option<JobRecord>],
     events: &mut BinaryHeap<Reverse<(i64, u8, u64)>>,
     incarnations: &mut [u32],
@@ -461,19 +503,22 @@ fn start_job(
     ));
     let idx = job.id as usize;
     incarnations[idx] += 1;
-    running[idx] = Some(RunningJob {
-        request: job.clone(),
-        demand: p.demand,
-        nodes,
-        pool: p.pool,
-        tier: p.tier,
-        priority_at_eligible: p.priority_at_eligible,
-        start_time: t,
-        end_by_limit: t + job.timelimit_min as i64 * 60,
-        incarnation: incarnations[idx],
-        user: job.user,
-        cpus: job.req_cpus,
-    });
+    running.insert(
+        job.id,
+        RunningJob {
+            request: job.clone(),
+            demand: p.demand,
+            nodes,
+            pool: p.pool,
+            tier: p.tier,
+            priority_at_eligible: p.priority_at_eligible,
+            start_time: t,
+            end_by_limit: t + job.timelimit_min as i64 * 60,
+            incarnation: incarnations[idx],
+            user: job.user,
+            cpus: job.req_cpus,
+        },
+    );
     events.push(Reverse((end, 0, pack_end_id(job.id, incarnations[idx]))));
 }
 
@@ -484,14 +529,12 @@ fn shadow_time(
     t: i64,
     pool: &NodePool,
     demand: &Demand,
-    running: &[Option<RunningJob>],
+    running: &RunningSet,
     pool_idx: usize,
 ) -> i64 {
     let mut states: Vec<Node> = pool.nodes().to_vec();
     let mut releases: Vec<(&RunningJob, i64)> = running
-        .iter()
-        .flatten()
-        .filter(|r| r.pool == pool_idx)
+        .in_pool(pool_idx)
         .map(|r| (r, r.end_by_limit.max(t)))
         .collect();
     releases.sort_by_key(|&(_, e)| e);

@@ -421,7 +421,7 @@ pub fn spawn_replication_listener(
 
 /// Serves one follower connection to completion: hello → divergence check →
 /// snapshot catch-up where needed → tail loop (ship new entries, drain acks,
-/// publish lag gauges) until the follower disconnects or the hub stops.
+/// raise the lag peak) until the follower disconnects or the hub stops.
 fn stream_to_follower(
     shards: &ShardSet,
     state_dir: &Path,
@@ -531,8 +531,9 @@ fn stream_to_follower(
                 metrics[i].replication_streamed_total.inc();
                 idle = false;
             }
+            // The lag gauge itself is computed from the acks at each
+            // metrics dump; the pass only raises the peak between dumps.
             let lag = leader_w.saturating_sub(acked[i]) as f64;
-            metrics[i].replication_lag_events.set(lag);
             metrics[i].replication_lag_peak_events.set_max(lag);
         }
         writer.flush()?;

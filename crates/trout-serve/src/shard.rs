@@ -156,6 +156,18 @@ struct FollowerAcks {
     by_stream: Vec<(u64, Vec<u64>)>,
 }
 
+impl FollowerAcks {
+    /// Shard `shard`'s replication lag: `synced` minus the slowest
+    /// streaming follower's last ack, 0 with no follower streaming.
+    fn lag(&self, shard: usize, synced: u64) -> u64 {
+        self.by_stream
+            .iter()
+            .map(|(_, w)| synced.saturating_sub(w[shard]))
+            .max()
+            .unwrap_or(0)
+    }
+}
+
 impl ShardSet {
     /// Wraps pre-built engines (they must be built from the same trace and
     /// config — [`ShardSet::bootstrap`]/[`ShardSet::from_trace`] guarantee
@@ -455,13 +467,7 @@ impl ShardSet {
         let shards: Vec<Json> = (0..self.shards.len())
             .map(|i| {
                 let g = self.lock(i);
-                let synced = g.journal_synced().unwrap_or_else(|| g.journal_position());
-                let lag = acks
-                    .by_stream
-                    .iter()
-                    .map(|(_, w)| synced.saturating_sub(w[i]))
-                    .max()
-                    .unwrap_or(0);
+                let lag = acks.lag(i, g.journal_synced().unwrap_or(0));
                 Json::Obj(vec![
                     ("watermark".into(), Json::Int(g.journal_position() as i128)),
                     ("base".into(), Json::Int(g.journal_base() as i128)),
@@ -532,6 +538,7 @@ impl ShardSet {
     /// latency histograms merge bucket-wise, and drift joins pool across
     /// shards.
     pub fn metrics_json(&self) -> Json {
+        self.refresh_replication_lag();
         if self.shards.len() == 1 {
             return self.lock(0).metrics_json();
         }
@@ -546,6 +553,7 @@ impl ShardSet {
     /// sharding introduces — followed by the process-wide span histograms
     /// once.
     pub fn metrics_prometheus(&self) -> String {
+        self.refresh_replication_lag();
         if self.shards.len() == 1 {
             return self.lock(0).metrics_prometheus();
         }
@@ -556,6 +564,20 @@ impl ShardSet {
         }
         text.push_str(&trout_obs::global().to_prometheus());
         text
+    }
+
+    /// Sets each shard's `replication_lag_events` gauge (and raises its
+    /// peak) from the followers' last acks, as the replication status line
+    /// computes lag, so a metrics dump never reads a lag older than the
+    /// last ack.
+    fn refresh_replication_lag(&self) {
+        let acks = self.follower_acks();
+        for i in 0..self.shards.len() {
+            let g = self.lock(i);
+            let lag = acks.lag(i, g.journal_synced().unwrap_or(0)) as f64;
+            g.metrics.replication_lag_events.set(lag);
+            g.metrics.replication_lag_peak_events.set_max(lag);
+        }
     }
 
     /// Pools every shard's registry into one merged snapshot (counter sums,

@@ -505,3 +505,89 @@ fn replication_status_never_reports_zero_lag_ahead_of_the_follower() {
     let _ = std::fs::remove_dir_all(&ldir);
     let _ = std::fs::remove_dir_all(&fdir);
 }
+
+/// The `replication.lag_events` of a JSON metrics dump and the
+/// `trout_serve_replication_lag_events` gauge of a Prometheus one, taken
+/// back to back from a 1-shard daemon.
+fn metrics_lag(shards: &ShardSet) -> (u64, u64) {
+    let out = serve(
+        shards,
+        "{\"event\":\"metrics\"}\n{\"event\":\"metrics\",\"format\":\"prometheus\"}\n",
+    );
+    let mut lines = out.lines().map(|l| Json::parse(l).unwrap());
+    let json = lines.next().unwrap();
+    let replication = json.get("metrics").unwrap().get("replication").unwrap();
+    let json_lag = match replication.get("lag_events") {
+        Some(Json::Int(v)) => *v as u64,
+        other => panic!("expected an integer lag_events, got {other:?}"),
+    };
+    let prom = lines.next().unwrap();
+    let Some(Json::Str(body)) = prom.get("body") else {
+        panic!("prometheus response without a body: {prom}")
+    };
+    let prom_lag = body
+        .lines()
+        .find_map(|l| l.strip_prefix("trout_serve_replication_lag_events "))
+        .expect("lag gauge exposed")
+        .trim()
+        .parse::<f64>()
+        .unwrap() as u64;
+    (json_lag, prom_lag)
+}
+
+#[test]
+fn metrics_never_report_zero_lag_ahead_of_the_follower() {
+    let leader = Arc::new(shardset(1));
+    let ldir = state_dir("metrics_lag_leader");
+    leader.open_state_dir(&ldir, 0, false).unwrap();
+    let hub = spawn_replication_listener(
+        Arc::clone(&leader),
+        ldir.clone(),
+        TcpListener::bind("127.0.0.1:0").unwrap(),
+    )
+    .unwrap();
+    let addr = hub.addr().to_string();
+    let follower = Arc::new(shardset(1));
+    let fdir = state_dir("metrics_lag_follower");
+    follower.open_state_dir(&fdir, 0, false).unwrap();
+    let fthread = {
+        let shards = Arc::clone(&follower);
+        let dir = fdir.clone();
+        std::thread::spawn(move || run_follower(&shards, &dir, &addr))
+    };
+    wait_for("the follower to stream", 30, || {
+        replication_status(&leader).1 == 1
+    });
+
+    // Bursts of writes, each followed by a metrics dump straight away: until
+    // the follower has acked the synced entries, neither format may report
+    // lag 0.
+    let check = |synced: u64| {
+        let (json_lag, prom_lag) = metrics_lag(&leader);
+        // Read after the dump: the follower's watermark only grows.
+        let held = follower.journal_watermarks()[0];
+        for (format, lag) in [("json", json_lag), ("prometheus", prom_lag)] {
+            assert!(
+                lag > 0 || held >= synced,
+                "{format} dump reported lag 0 with the follower at {held} of {synced}"
+            );
+        }
+        json_lag == 0 && prom_lag == 0
+    };
+    let live = SimulationBuilder::anvil_like().jobs(120).seed(9).run();
+    let script = trout_serve::replay_script(&live, 3);
+    let lines: Vec<&str> = script.lines().collect();
+    let mut synced = 0;
+    for burst in lines.chunks(lines.len() / 8 + 1) {
+        serve(&leader, &(burst.join("\n") + "\n"));
+        synced = leader.synced_watermark(0).unwrap();
+        check(synced);
+    }
+    wait_for("the dump to report zero lag", 30, || check(synced));
+
+    hub.stop();
+    follower.request_promote();
+    fthread.join().unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&ldir);
+    let _ = std::fs::remove_dir_all(&fdir);
+}
