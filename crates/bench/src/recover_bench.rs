@@ -134,8 +134,8 @@ fn timed_replication(cfg: &ServeConfig, boot_jobs: usize, script: &str) -> Json 
     follower.request_promote();
     fthread.join().expect("follower thread").expect("follower");
     assert_eq!(
-        follower.merged_state_to_json().to_string(),
-        leader.merged_state_to_json().to_string(),
+        follower.merged_state_text(),
+        leader.merged_state_text(),
         "catch-up converges byte-identically"
     );
     for d in [ldir, fdir] {

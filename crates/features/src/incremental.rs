@@ -42,9 +42,10 @@
 //! contract at every stab point of a multi-thousand-job trace.
 
 use std::collections::HashMap;
+use std::fmt;
 
 use trout_slurmsim::JobRecord;
-use trout_std::json::{FromJson, Json, JsonError, ToJson};
+use trout_std::json::{write_json_array, FromJson, Json, JsonError, ToJson};
 
 use crate::aggtree::{AggTreap, Key};
 use crate::snapshot::{Aggregate, QueueSnapshot};
@@ -541,47 +542,52 @@ impl IncrementalSnapshot {
         evicted
     }
 
-    /// Serializes the index's full state for a durability snapshot. Jobs are
-    /// emitted in ascending id order and user histories in ascending user
-    /// order, so identical states produce identical bytes regardless of
-    /// `HashMap` iteration order. The aggregate treaps are *not* serialized:
-    /// their shape and sums are pure functions of the tracked-job set (see
-    /// [`crate::aggtree`]), which is how
+    /// Writes the index's full state for a durability snapshot, one job at
+    /// a time. Jobs are emitted in ascending id order and user histories in
+    /// ascending user order, so identical states produce identical bytes
+    /// regardless of `HashMap` iteration order. The aggregate treaps are
+    /// *not* serialized: their shape and sums are pure functions of the
+    /// tracked-job set (see [`crate::aggtree`]), which is how
     /// [`from_state_json`](IncrementalSnapshot::from_state_json) rebuilds
     /// them bit-identically. `event_time` is serialized (it is event-derived
     /// and identical across broadcast shards); the probe frontier is not —
     /// predicts route to a single shard, and re-expiry/re-activation on the
     /// first probe after recovery makes the difference unobservable.
-    pub fn state_to_json(&self) -> Json {
+    pub fn write_state<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
         let mut jobs: Vec<&TrackedJob> = self.jobs.values().collect();
         jobs.sort_by_key(|j| j.rec.id);
         let mut users: Vec<(&u32, &Vec<(i64, u64)>)> = self.user_history.iter().collect();
         users.sort_by_key(|(u, _)| **u);
-        Json::Obj(vec![
-            (
-                "n_partitions".to_string(),
-                (self.eligible.len() as u64).to_json(),
-            ),
-            ("applied".to_string(), self.applied.to_json()),
-            ("event_time".to_string(), self.event_time.to_json()),
-            (
-                "jobs".to_string(),
-                Json::Arr(jobs.iter().map(|j| j.to_json()).collect()),
-            ),
-            (
-                "user_history".to_string(),
-                Json::Arr(
-                    users
-                        .iter()
-                        .map(|(u, h)| Json::Arr(vec![u.to_json(), h.to_json()]))
-                        .collect(),
-                ),
-            ),
-        ])
+        write!(
+            out,
+            "{{\"n_partitions\":{},\"applied\":{},\"event_time\":{},\"jobs\":",
+            self.eligible.len(),
+            self.applied,
+            self.event_time
+        )?;
+        write_json_array(jobs, out)?;
+        out.write_str(",\"user_history\":[")?;
+        for (i, (user, history)) in users.into_iter().enumerate() {
+            if i > 0 {
+                out.write_char(',')?;
+            }
+            write!(out, "[{user},")?;
+            history.write_json(out)?;
+            out.write_char(']')?;
+        }
+        out.write_str("]}")
     }
 
-    /// Reconstructs an index from [`state_to_json`](Self::state_to_json)
-    /// output. The aggregate treaps are rebuilt from each job's phase;
+    /// [`write_state`](Self::write_state) into a new `String`.
+    pub fn state_text(&self) -> String {
+        let mut text = String::new();
+        self.write_state(&mut text)
+            .expect("writing to a String cannot fail");
+        text
+    }
+
+    /// Reconstructs an index from the parsed
+    /// [`write_state`](Self::write_state) text. The aggregate treaps are rebuilt from each job's phase;
     /// because treap shape and sums are order-independent functions of the
     /// member set, snapshots probed afterward are bit-identical to the index
     /// that was serialized.
@@ -897,10 +903,11 @@ mod tests {
         idx.end(1, 190).unwrap();
         idx.start(3, 140).unwrap();
 
-        let state = idx.state_to_json();
-        let mut back = IncrementalSnapshot::from_state_json(&state).unwrap();
+        let state = idx.state_text();
+        let parsed = Json::parse(&state).unwrap();
+        let mut back = IncrementalSnapshot::from_state_json(&parsed).unwrap();
         // Deterministic bytes: identical state serializes identically.
-        assert_eq!(state.to_string(), back.state_to_json().to_string());
+        assert_eq!(state, back.state_text());
         assert_eq!(back.events_applied(), idx.events_applied());
 
         // Snapshots agree bit-for-bit at several probe times (the rebuilt

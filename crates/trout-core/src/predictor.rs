@@ -59,6 +59,17 @@ impl ToJson for QueueEstimate {
             QueueEstimate::Minutes(m) => Json::Obj(vec![("Minutes".to_string(), m.to_json())]),
         }
     }
+
+    fn write_json<W: std::fmt::Write>(&self, out: &mut W) -> std::fmt::Result {
+        match self {
+            QueueEstimate::QuickStart => out.write_str("\"QuickStart\""),
+            QueueEstimate::Minutes(m) => {
+                out.write_str("{\"Minutes\":")?;
+                m.write_json(out)?;
+                out.write_str("}")
+            }
+        }
+    }
 }
 
 impl FromJson for QueueEstimate {
@@ -141,6 +152,13 @@ impl Lane {
 impl ToJson for Lane {
     fn to_json(&self) -> Json {
         Json::Str(self.as_str().to_string())
+    }
+
+    fn write_json<W: std::fmt::Write>(&self, out: &mut W) -> std::fmt::Result {
+        // Lane names are plain lowercase words: nothing to escape.
+        out.write_str("\"")?;
+        out.write_str(self.as_str())?;
+        out.write_str("\"")
     }
 }
 

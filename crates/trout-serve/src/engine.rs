@@ -16,8 +16,8 @@
 //! operator-facing signal for when warm-start refits stop keeping up.
 
 use std::collections::HashMap;
-use std::convert::Infallible;
-use std::io::{self, Write};
+use std::fmt::{self, Write as _};
+use std::io;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
@@ -36,7 +36,7 @@ use trout_slurmsim::{JobRecord, SimulationBuilder, Trace};
 use trout_workload::ClusterSpec;
 
 use trout_std::fsio::atomic_write_with;
-use trout_std::json::{FromJson, Json, JsonError, ToJson};
+use trout_std::json::{write_io, write_json_array, FromJson, Json, JsonError, ToJson};
 
 use crate::journal::{Durability, Journal, JOURNAL_FILE, SNAPSHOT_FILE};
 use crate::metrics::{ServeMetrics, CONFUSION_CELLS};
@@ -797,22 +797,15 @@ impl ServeEngine {
         Ok(())
     }
 
-    /// Writes `{"journal_pos":pos,"state":…}` — the bytes of the same
-    /// document built as one [`Json`] value — one state member at a time.
-    /// Needs a refreshed [`ArtefactText`].
-    fn write_snapshot_to(&self, w: &mut impl Write, pos: u64) -> io::Result<()> {
-        write!(w, "{{\"journal_pos\":{pos},\"state\":{{")?;
-        let mut sep = "";
-        self.visit_state(|name, member| {
-            write!(w, "{sep}\"{name}\":")?;
-            sep = ",";
-            match member {
-                StateMember::Value(j) => j.write_io(w),
-                StateMember::RuntimeModel => w.write_all(self.artefact_text.runtime_model()),
-                StateMember::Model => w.write_all(self.artefact_text.model()),
-            }
-        })?;
-        w.write_all(b"}}")
+    /// Writes `{"journal_pos":pos,"state":…}` straight into the file, one
+    /// member at a time. Needs a refreshed [`ArtefactText`] to copy the
+    /// artefacts instead of serializing them again.
+    fn write_snapshot_to(&self, w: &mut impl io::Write, pos: u64) -> io::Result<()> {
+        write_io(w, |out| {
+            write!(out, "{{\"journal_pos\":{pos},\"state\":")?;
+            self.write_state(out)?;
+            out.write_str("}")
+        })
     }
 
     /// Suppresses journaling and snapshotting while recovery replays the
@@ -825,8 +818,8 @@ impl ServeEngine {
         self.replaying = false;
     }
 
-    /// The engine's complete deterministic state as one JSON value — the
-    /// snapshot payload, and the object the recovery bit-identity tests
+    /// Writes the engine's complete deterministic state as one JSON object
+    /// — the snapshot payload, and the text the recovery bit-identity tests
     /// compare byte for byte. Covers everything events mutate: the scaler,
     /// the runtime forest, the (possibly refitted) model weights, the
     /// incremental index, cached feature rows, the refit history window, the
@@ -834,100 +827,22 @@ impl ServeEngine {
     /// (`state_events` drives the eviction cadence, so it *is* state).
     /// Observational metrics — latencies, batch sizes, request/error
     /// counts — depend on timing and batching and are deliberately absent.
-    /// All maps serialize in sorted key order: identical states produce
+    /// All maps are written in sorted key order: identical states produce
     /// identical bytes.
-    pub fn state_to_json(&self) -> Json {
-        let mut members = Vec::new();
-        let Ok(()) = self.visit_state(|name, member| -> Result<(), Infallible> {
-            let value = match member {
-                StateMember::Value(j) => j,
-                StateMember::RuntimeModel => self.runtime_model.to_json(),
-                StateMember::Model => ToJson::to_json(self.model.as_ref()),
-            };
-            members.push((name.to_string(), value));
-            Ok(())
-        });
-        Json::Obj(members)
+    pub fn write_state<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        write_state_of(&[self], false, out)
     }
 
-    /// The one member list of the state object, in order: `visit` sees each
-    /// member name with its value, built only when its turn comes, so the
-    /// snapshot writer holds one member's tree at a time. The two published
-    /// artefacts are passed by name for the caller to serialize or copy.
-    fn visit_state<E>(
-        &self,
-        mut visit: impl FnMut(&'static str, StateMember) -> Result<(), E>,
-    ) -> Result<(), E> {
-        use StateMember::Value;
-        visit("version", Value(1u64.to_json()))?;
-        visit("scaler", Value(self.scaler.to_json()))?;
-        visit("runtime_model", StateMember::RuntimeModel)?;
-        visit("model", StateMember::Model)?;
-        visit("index", Value(self.index.state_to_json()))?;
-        let mut rows: Vec<(u64, &Vec<f32>)> =
-            self.cached_rows.iter().map(|(k, v)| (*k, v)).collect();
-        rows.sort_by_key(|(id, _)| *id);
-        visit(
-            "cached_rows",
-            Value(Json::Arr(
-                rows.iter()
-                    .map(|(id, row)| Json::Arr(vec![id.to_json(), row.to_json()]))
-                    .collect(),
-            )),
-        )?;
-        visit("history_raw", Value(self.history_raw.to_json()))?;
-        visit("history_y", Value(self.history_y.to_json()))?;
-        visit("history_ids", Value(self.history_ids.to_json()))?;
-        visit(
-            "completed_since_refit",
-            Value((self.completed_since_refit as u64).to_json()),
-        )?;
-        visit("latest_time", Value(self.latest_time.to_json()))?;
-        let mut served: Vec<(u64, &QueuePrediction)> =
-            self.drift.served.iter().map(|(k, v)| (*k, v)).collect();
-        served.sort_by_key(|(id, _)| *id);
-        visit(
-            "drift",
-            Value(Json::Obj(vec![
-                (
-                    "served".to_string(),
-                    Json::Arr(
-                        served
-                            .iter()
-                            .map(|(id, p)| Json::Arr(vec![id.to_json(), (*p).to_json()]))
-                            .collect(),
-                    ),
-                ),
-                ("joined".to_string(), self.drift.joined.to_json()),
-                ("abs_err_sum".to_string(), self.drift.abs_err_sum.to_json()),
-                ("within".to_string(), self.drift.within.to_json()),
-                (
-                    "confusion".to_string(),
-                    self.drift.confusion.to_vec().to_json(),
-                ),
-            ])),
-        )?;
-        visit(
-            "counters",
-            Value(Json::Obj(vec![
-                (
-                    "predicts".to_string(),
-                    self.metrics.predicts_total.get().to_json(),
-                ),
-                (
-                    "state_events".to_string(),
-                    self.metrics.state_events_total.get().to_json(),
-                ),
-                (
-                    "refits".to_string(),
-                    self.metrics.refits_total.get().to_json(),
-                ),
-            ])),
-        )
+    /// [`write_state`](Self::write_state) into a new `String`.
+    pub fn state_text(&self) -> String {
+        let mut text = String::new();
+        self.write_state(&mut text)
+            .expect("writing to a String cannot fail");
+        text
     }
 
-    /// Restores the state [`state_to_json`](Self::state_to_json) captured
-    /// onto this (freshly constructed) engine. Inference and refit
+    /// Restores the parsed [`write_state`](Self::write_state) text onto
+    /// this (freshly constructed) engine. Inference and refit
     /// workspaces are rebuilt from the restored model; semantic counters
     /// are advanced to their captured values; the drift gauges are re-mirrored.
     pub fn restore_state(&mut self, j: &Json) -> Result<(), TroutError> {
@@ -1144,15 +1059,130 @@ fn restore_counter(c: &trout_obs::Counter, target: u64) {
     c.add(target.saturating_sub(c.get()));
 }
 
-/// One member of the engine state object, as
-/// [`ServeEngine::visit_state`] yields it.
-enum StateMember {
-    /// A member serialized afresh at every visit.
-    Value(Json),
-    /// The runtime forest, replaced only by `restore_state`.
-    RuntimeModel,
-    /// The published model, replaced by a refit or `restore_state`.
-    Model,
+/// Writes the state object of `engines`. With one engine and `canonical`
+/// off this is that engine's own state. With `canonical` on it is the
+/// canonical union of a shard set (DESIGN §11), identical for an N-shard
+/// set and a 1-shard reference fed the same stream:
+///
+/// - the replicated sections (scaler, artefacts, index) come from the
+///   first engine;
+/// - the predict-routed sections (cached rows, refit history, pending
+///   drift joins) are disjoint by routing, and their union is written in
+///   id order;
+/// - routed counters sum, `latest_time` takes the max, and `state_events`
+///   (a replica count) comes from the first engine;
+/// - the drift monitor's `abs_err_sum` is left out: it is an
+///   order-sensitive f64 sum ([`ShardSet::merged_drift`] exposes it).
+///
+/// [`ShardSet::merged_drift`]: crate::ShardSet::merged_drift
+pub(crate) fn write_state_of<W: fmt::Write>(
+    engines: &[&ServeEngine],
+    canonical: bool,
+    out: &mut W,
+) -> fmt::Result {
+    let first = engines[0];
+    out.write_str("{\"version\":1,\"scaler\":")?;
+    first.scaler.write_json(out)?;
+    out.write_str(",\"runtime_model\":")?;
+    match &first.artefact_text.runtime_model {
+        Some(text) => out.write_str(text)?,
+        None => first.runtime_model.write_json(out)?,
+    }
+    out.write_str(",\"model\":")?;
+    match first.artefact_text.model_text(&first.model) {
+        Some(text) => out.write_str(text)?,
+        None => first.model.write_json(out)?,
+    }
+    out.write_str(",\"index\":")?;
+    first.index.write_state(out)?;
+
+    let total = |len: fn(&ServeEngine) -> usize| engines.iter().map(|e| len(e)).sum::<usize>();
+    let mut rows = Vec::with_capacity(total(|e| e.cached_rows.len()));
+    for e in engines {
+        rows.extend(e.cached_rows.iter().map(|(id, row)| (*id, row)));
+    }
+    rows.sort_by_key(|(id, _)| *id);
+    out.write_str(",\"cached_rows\":")?;
+    write_id_pairs(&rows, out)?;
+
+    // Refit history: one (id, raw, y) triple per completed predicted job.
+    // A single engine keeps its completion order; the canonical union is
+    // re-sorted by id (stable, so shard order breaks ties).
+    let mut history = Vec::with_capacity(total(|e| e.history_ids.len()));
+    for e in engines {
+        history.extend(
+            e.history_ids
+                .iter()
+                .zip(&e.history_raw)
+                .zip(&e.history_y)
+                .map(|((id, raw), y)| (*id, raw, *y)),
+        );
+    }
+    if canonical {
+        history.sort_by_key(|(id, _, _)| *id);
+    }
+    out.write_str(",\"history_raw\":")?;
+    write_json_array(history.iter().map(|(_, raw, _)| *raw), out)?;
+    out.write_str(",\"history_y\":")?;
+    write_json_array(history.iter().map(|(_, _, y)| y), out)?;
+    out.write_str(",\"history_ids\":")?;
+    write_json_array(history.iter().map(|(id, _, _)| id), out)?;
+
+    let sum = |field: fn(&ServeEngine) -> u64| engines.iter().map(|e| field(e)).sum::<u64>();
+    let latest_time = engines
+        .iter()
+        .map(|e| e.latest_time)
+        .max()
+        .unwrap_or(i64::MIN);
+    write!(
+        out,
+        ",\"completed_since_refit\":{},\"latest_time\":{latest_time}",
+        sum(|e| e.completed_since_refit as u64)
+    )?;
+
+    let mut served = Vec::with_capacity(total(|e| e.drift.served.len()));
+    for e in engines {
+        served.extend(e.drift.served.iter().map(|(id, p)| (*id, p)));
+    }
+    served.sort_by_key(|(id, _)| *id);
+    out.write_str(",\"drift\":{\"served\":")?;
+    write_id_pairs(&served, out)?;
+    write!(out, ",\"joined\":{}", sum(|e| e.drift.joined))?;
+    if !canonical {
+        out.write_str(",\"abs_err_sum\":")?;
+        first.drift.abs_err_sum.write_json(out)?;
+    }
+    write!(
+        out,
+        ",\"within\":{},\"confusion\":",
+        sum(|e| e.drift.within)
+    )?;
+    let mut confusion = [0u64; 4];
+    for e in engines {
+        for (acc, c) in confusion.iter_mut().zip(&e.drift.confusion) {
+            *acc += c;
+        }
+    }
+    write_json_array(&confusion, out)?;
+    write!(
+        out,
+        "}},\"counters\":{{\"predicts\":{},\"state_events\":{},\"refits\":{}}}}}",
+        sum(|e| e.metrics.predicts_total.get()),
+        first.metrics.state_events_total.get(),
+        sum(|e| e.metrics.refits_total.get())
+    )
+}
+
+/// Writes `[[id,value],…]` in the given order.
+fn write_id_pairs<T: ToJson, W: fmt::Write>(pairs: &[(u64, &T)], out: &mut W) -> fmt::Result {
+    out.write_str("[")?;
+    for (i, (id, value)) in pairs.iter().enumerate() {
+        out.write_str(if i == 0 { "[" } else { ",[" })?;
+        write!(out, "{id},")?;
+        value.write_json(out)?;
+        out.write_str("]")?;
+    }
+    out.write_str("]")
 }
 
 /// Serialized text of the two state members that change only when a new
@@ -1171,25 +1201,20 @@ struct ArtefactText {
 impl ArtefactText {
     /// Makes again whichever text no longer matches the engine's artefacts.
     fn refresh(&mut self, model: &Arc<HierarchicalModel>, runtime_model: &RuntimePredictor) {
-        if !matches!(&self.model, Some((m, _)) if Arc::ptr_eq(m, model)) {
-            self.model = Some((
-                Arc::clone(model),
-                ToJson::to_json(model.as_ref()).to_string(),
-            ));
+        if self.model_text(model).is_none() {
+            self.model = Some((Arc::clone(model), model.to_json_string()));
         }
         if self.runtime_model.is_none() {
-            self.runtime_model = Some(runtime_model.to_json().to_string());
+            self.runtime_model = Some(runtime_model.to_json_string());
         }
     }
 
-    fn model(&self) -> &[u8] {
-        let (_, text) = self.model.as_ref().expect("refreshed before use");
-        text.as_bytes()
-    }
-
-    fn runtime_model(&self) -> &[u8] {
-        let text = self.runtime_model.as_ref().expect("refreshed before use");
-        text.as_bytes()
+    /// The cached text of `model`, if the cache was made from it.
+    fn model_text(&self, model: &Arc<HierarchicalModel>) -> Option<&str> {
+        match &self.model {
+            Some((m, text)) if Arc::ptr_eq(m, model) => Some(text),
+            _ => None,
+        }
     }
 }
 
@@ -1405,7 +1430,7 @@ mod tests {
         assert_eq!(engine.metrics.drift_pending_joins.get(), 0.0);
         assert_eq!(engine.metrics.drift_purged_total.get(), 2);
         // The purge is observational only: never part of the state oracle.
-        assert!(engine.state_to_json().get("drift_purged").is_none());
+        assert!(!engine.state_text().contains("drift_purged"));
     }
 
     #[test]

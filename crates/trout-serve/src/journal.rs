@@ -45,7 +45,7 @@
 //! [`OnlineConfig::journal_fsync_every`]: trout_core::online::OnlineConfig
 
 use std::fs::File;
-use std::io::{self, BufRead};
+use std::io::{self, BufRead, Read};
 use std::path::{Path, PathBuf};
 
 use trout_obs::Counter;
@@ -88,9 +88,21 @@ pub fn parse_base_line(line: &str) -> Option<u64> {
 /// first-line base control line, or 0 when the file starts with an ordinary
 /// entry (never compacted).
 pub fn read_base(path: &Path) -> io::Result<u64> {
-    let mut first = String::new();
-    std::io::BufReader::new(File::open(path)?).read_line(&mut first)?;
-    Ok(parse_base_line(first.trim_end()).unwrap_or(0))
+    Ok(read_base_header(File::open(path)?)?.0)
+}
+
+/// Reads the first line of a journal: `(base, header)`, where `header` is
+/// the byte length of the base control line (newline included) and both
+/// are 0 when the file starts with an ordinary entry. Reads one line, not
+/// the file.
+pub fn read_base_header(journal: impl Read) -> io::Result<(u64, u64)> {
+    let mut first = Vec::new();
+    io::BufReader::with_capacity(512, journal).read_until(b'\n', &mut first)?;
+    let base = match first.strip_suffix(b"\n") {
+        Some(line) => std::str::from_utf8(line).ok().and_then(parse_base_line),
+        None => None,
+    };
+    Ok(base.map_or((0, 0), |b| (b, first.len() as u64)))
 }
 
 /// An open append-only event journal.

@@ -93,7 +93,8 @@ pub enum ClientEvent {
     /// Replication status dump: role, per-shard watermarks, follower lag.
     /// Read-only, never journaled.
     ReplicationStatus,
-    /// Full canonical state dump (`state_to_json` merged across shards)
+    /// Full canonical state dump (the merged state text of every shard,
+    /// [`ShardSet::state_dump_line`](crate::ShardSet::state_dump_line))
     /// with per-shard journal watermarks — the probe the replication
     /// bit-identity oracle compares between leader and follower. Read-only,
     /// never journaled.
@@ -471,23 +472,6 @@ pub fn metrics_prometheus_response(body: String) -> String {
         ("event".into(), Json::Str("metrics".into())),
         ("format".into(), Json::Str("prometheus".into())),
         ("body".into(), Json::Str(body)),
-    ])
-    .to_string()
-}
-
-/// The state-dump response: per-shard journal watermarks (index order)
-/// followed by the canonical merged state. Two daemons at identical
-/// watermarks must produce byte-identical `state` members — the replication
-/// bit-identity oracle.
-pub fn state_dump_response(watermarks: &[u64], state: Json) -> String {
-    Json::Obj(vec![
-        ("ok".into(), Json::Bool(true)),
-        ("event".into(), Json::Str("state".into())),
-        (
-            "watermarks".into(),
-            Json::Arr(watermarks.iter().map(|w| Json::Int(*w as i128)).collect()),
-        ),
-        ("state".into(), state),
     ])
     .to_string()
 }

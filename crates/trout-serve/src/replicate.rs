@@ -15,7 +15,7 @@
 //! at the same absolute position. The follower applies every complete
 //! message already buffered, then group-commits — one fsync per touched
 //! shard — before it acks: the follower's state dir is a valid
-//! crash-recovery dir at all times, and `state_to_json` at watermark `W` is
+//! crash-recovery dir at all times, and the state text at watermark `W` is
 //! byte-equal to the leader's at `W` (the same argument as recovery
 //! bit-identity).
 //!
@@ -46,7 +46,8 @@
 //! entries are streamed in ack order, so the follower's state at its
 //! watermark is exactly the leader's state at that watermark.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::fs::File;
+use std::io::{BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -55,10 +56,9 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use trout_core::TroutError;
-use trout_std::fsio::read_complete_lines;
 use trout_std::json::Json;
 
-use crate::journal::{parse_base_line, JOURNAL_FILE, SNAPSHOT_FILE};
+use crate::journal::{read_base_header, JOURNAL_FILE, SNAPSHOT_FILE};
 use crate::metrics::ServeMetrics;
 use crate::recover::apply_event_line;
 use crate::server::{AcceptBackoff, ConnThreads};
@@ -66,6 +66,9 @@ use crate::shard::{shard_dir, ShardSet};
 
 /// Leader poll interval for new journal lines (the stream latency floor).
 const TAIL_POLL_MS: u64 = 20;
+
+/// Bytes the journal tail reads per chunk.
+const TAIL_CHUNK: u64 = 64 * 1024;
 
 /// Follower read timeout — the promote-poll cadence while the stream idles.
 const FOLLOW_READ_TIMEOUT_MS: u64 = 25;
@@ -271,22 +274,100 @@ pub fn parse_repl_line(line: &str) -> Result<ReplMessage, TroutError> {
 // hello construction).
 // ---------------------------------------------------------------------------
 
-/// Reads one shard's journal file: `(base, entry lines)`. Absolute position
-/// of `entries[k]` is `base + k`. `(0, [])` when the file does not exist yet.
-fn read_journal(state_dir: &Path, shard: usize) -> std::io::Result<(u64, Vec<String>)> {
-    let path = shard_dir(state_dir, shard).join(JOURNAL_FILE);
-    if !path.exists() {
-        return Ok((0, Vec::new()));
-    }
-    let (mut lines, _torn) = read_complete_lines(&path)?;
-    let base = match lines.first().and_then(|l| parse_base_line(l)) {
-        Some(b) => {
-            lines.remove(0);
-            b
+/// A read cursor over one shard's journal file. Each pass reads only the
+/// bytes past the cursor, in bounded chunks, and decodes only complete
+/// lines (a torn tail is never decoded): a pass with nothing new costs O(1)
+/// in journal length.
+struct JournalTail {
+    path: PathBuf,
+    /// Base of the file the cursor points into; `None` before the first
+    /// pass.
+    base: Option<u64>,
+    /// Byte length of that file's base control line (0 without one).
+    header: u64,
+    /// Byte offset of the line at `pos`.
+    offset: u64,
+    /// Absolute position of the next line the cursor reads.
+    pos: u64,
+    /// Read buffer, reused across passes.
+    buf: Vec<u8>,
+}
+
+impl JournalTail {
+    fn new(state_dir: &Path, shard: usize) -> JournalTail {
+        JournalTail {
+            path: shard_dir(state_dir, shard).join(JOURNAL_FILE),
+            base: None,
+            header: 0,
+            offset: 0,
+            pos: 0,
+            buf: Vec::new(),
         }
-        None => 0,
-    };
-    Ok((base, lines))
+    }
+
+    /// Opens the journal for one pass and returns it with its base; `None`
+    /// while the file does not exist. A file with another base than the
+    /// last pass saw (compaction replaced it), or shorter than the cursor's
+    /// offset, restarts the cursor at its first entry.
+    fn open(&mut self) -> std::io::Result<Option<(File, u64)>> {
+        let file = match File::open(&self.path) {
+            Ok(f) => f,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(e),
+        };
+        let (base, header) = read_base_header(&file)?;
+        if self.base != Some(base) || file.metadata()?.len() < self.offset {
+            self.base = Some(base);
+            self.header = header;
+            self.offset = header;
+            self.pos = base;
+        }
+        Ok(Some((file, base)))
+    }
+
+    /// Reads complete lines while `pos < limit`, handing each to `line`
+    /// with its absolute position. Stops at the end of the complete lines.
+    fn advance(
+        &mut self,
+        file: &mut File,
+        limit: u64,
+        mut line: impl FnMut(u64, &str) -> std::io::Result<()>,
+    ) -> std::io::Result<()> {
+        file.seek(SeekFrom::Start(self.offset))?;
+        self.buf.clear();
+        let mut start = 0;
+        while self.pos < limit {
+            match self.buf[start..].iter().position(|&b| b == b'\n') {
+                Some(len) => {
+                    let text = std::str::from_utf8(&self.buf[start..start + len])
+                        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+                    line(self.pos, text)?;
+                    start += len + 1;
+                    self.offset += len as u64 + 1;
+                    self.pos += 1;
+                }
+                None => {
+                    self.buf.drain(..start);
+                    start = 0;
+                    if (&mut *file).take(TAIL_CHUNK).read_to_end(&mut self.buf)? == 0 {
+                        break;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Moves the cursor to absolute position `target`: back to the file's
+    /// first entry when it is past it, then forward without reading beyond
+    /// the complete lines.
+    fn seek(&mut self, file: &mut File, target: u64) -> std::io::Result<()> {
+        if target < self.pos {
+            self.offset = self.header;
+            self.pos = self.base.unwrap_or(0);
+        }
+        self.advance(file, target, |_, _| Ok(()))
+    }
 }
 
 /// Reads one shard's snapshot file: `(journal_pos, state)`.
@@ -317,9 +398,17 @@ pub fn local_journal_tails(
     let mut watermarks = Vec::with_capacity(n_shards);
     let mut tails = Vec::with_capacity(n_shards);
     for i in 0..n_shards {
-        let (base, lines) = read_journal(state_dir, i)?;
-        watermarks.push(base + lines.len() as u64);
-        tails.push(lines.last().cloned().unwrap_or_default());
+        let mut tail = JournalTail::new(state_dir, i);
+        let mut last = String::new();
+        if let Some((mut file, _)) = tail.open()? {
+            tail.advance(&mut file, u64::MAX, |_, line| {
+                last.clear();
+                last.push_str(line);
+                Ok(())
+            })?;
+        }
+        watermarks.push(tail.pos);
+        tails.push(last);
     }
     Ok((watermarks, tails))
 }
@@ -437,7 +526,7 @@ fn stream_to_follower(
 
     let mut hello = String::new();
     reader.read_line(&mut hello)?;
-    let (watermarks, tails) = match parse_repl_line(hello.trim_end())? {
+    let (watermarks, tails_held) = match parse_repl_line(hello.trim_end())? {
         ReplMessage::Hello {
             shards: follower_shards,
             watermarks,
@@ -461,23 +550,32 @@ fn stream_to_follower(
     // Divergence check: the follower's last-held line must be *our* line at
     // the same absolute position. A mismatch means its history came from a
     // different lineage (another leader, or writes taken after a promote) —
-    // streaming onto it would corrupt it, so refuse.
-    for i in 0..n {
-        let (base, lines) = read_journal(state_dir, i)?;
+    // streaming onto it would corrupt it, so refuse. The check scans each
+    // journal once, up to that line, and leaves the cursor behind it.
+    let mut tails: Vec<JournalTail> = (0..n).map(|i| JournalTail::new(state_dir, i)).collect();
+    for (i, tail) in tails.iter_mut().enumerate() {
         let w = watermarks[i];
-        let leader_w = base + lines.len() as u64;
+        let mut ours = None;
+        let mut leader_w = 0;
+        if let Some((mut file, base)) = tail.open()? {
+            if w > base {
+                tail.seek(&mut file, w - 1)?;
+                tail.advance(&mut file, w, |_, line| {
+                    ours = Some(line.to_string());
+                    Ok(())
+                })?;
+            }
+            leader_w = tail.pos;
+        }
         let mismatch = if w > leader_w {
             Some(format!(
                 "shard {i}: follower watermark {w} is ahead of leader watermark {leader_w}"
             ))
-        } else if w > base && !tails[i].is_empty() {
-            let ours = &lines[(w - 1 - base) as usize];
-            (ours != &tails[i]).then(|| {
-                format!(
-                    "shard {i}: journal line at position {} differs between leader and follower",
-                    w - 1
-                )
-            })
+        } else if !tails_held[i].is_empty() && ours.is_some_and(|ours| ours != tails_held[i]) {
+            Some(format!(
+                "shard {i}: journal line at position {} differs between leader and follower",
+                w - 1
+            ))
         } else {
             None
         };
@@ -502,13 +600,13 @@ fn stream_to_follower(
             return Ok(()); // Dropped without goodbye — like a dead leader.
         }
         let mut idle = true;
-        for i in 0..n {
+        for (i, tail) in tails.iter_mut().enumerate() {
             // Read the synced watermark before the file: every line below
             // it is already on disk, and lines past it are not shipped yet.
             let synced = shards.synced_watermark(i);
-            let (base, lines) = read_journal(state_dir, i)?;
-            let file_w = base + lines.len() as u64;
-            let leader_w = synced.map_or(file_w, |w| w.min(file_w));
+            let Some((mut file, base)) = tail.open()? else {
+                continue; // No journal yet: nothing to ship, no lag.
+            };
             if cursors[i] < base {
                 // The entries the follower needs were compacted away:
                 // catch it up from the snapshot that covered them.
@@ -524,15 +622,22 @@ fn stream_to_follower(
                 );
                 continue;
             }
-            while cursors[i] < leader_w {
-                let line = &lines[(cursors[i] - base) as usize];
-                writeln!(writer, "{}", entry_line(i, cursors[i], line))?;
-                cursors[i] += 1;
-                metrics[i].replication_streamed_total.inc();
-                idle = false;
+            tail.seek(&mut file, cursors[i])?;
+            if tail.pos == cursors[i] {
+                let streamed = &metrics[i].replication_streamed_total;
+                tail.advance(&mut file, synced.unwrap_or(u64::MAX), |pos, line| {
+                    writeln!(writer, "{}", entry_line(i, pos, line))?;
+                    streamed.inc();
+                    Ok(())
+                })?;
+                idle &= tail.pos == cursors[i];
+                cursors[i] = tail.pos;
             }
-            // The lag gauge itself is computed from the acks at each
-            // metrics dump; the pass only raises the peak between dumps.
+            // The cursor stops at the synced watermark or at the file's
+            // last complete line, whichever comes first. The lag gauge
+            // itself is computed from the acks at each metrics dump; the
+            // pass only raises the peak between dumps.
+            let leader_w = synced.map_or(tail.pos, |w| w.min(tail.pos));
             let lag = leader_w.saturating_sub(acked[i]) as f64;
             metrics[i].replication_lag_peak_events.set_max(lag);
         }
@@ -830,6 +935,66 @@ mod tests {
         .is_err());
         // Negative positions are refused, not wrapped.
         assert!(parse_repl_line("{\"repl\":\"ack\",\"shard\":0,\"watermark\":-1}").is_err());
+    }
+
+    #[test]
+    fn journal_tail_reads_only_new_complete_lines() {
+        use std::io::Write as _;
+        let dir = std::env::temp_dir().join(format!("trout-repl-cursor-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(shard_dir(&dir, 0)).unwrap();
+        let path = shard_dir(&dir, 0).join(JOURNAL_FILE);
+        let append = |bytes: &[u8]| {
+            let mut f = std::fs::OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(&path)
+                .unwrap();
+            f.write_all(bytes).unwrap();
+        };
+        let mut tail = JournalTail::new(&dir, 0);
+        let pass = |tail: &mut JournalTail, limit: u64| {
+            let mut got = Vec::new();
+            let (mut file, _) = tail.open().unwrap().expect("journal exists");
+            tail.advance(&mut file, limit, |pos, line| {
+                got.push((pos, line.to_string()));
+                Ok(())
+            })
+            .unwrap();
+            got
+        };
+        let owned = |v: &[(u64, &str)]| -> Vec<(u64, String)> {
+            v.iter().map(|&(p, l)| (p, l.to_string())).collect()
+        };
+        assert!(tail.open().unwrap().is_none(), "no journal yet");
+
+        append(b"a\nb\n");
+        assert_eq!(pass(&mut tail, u64::MAX), owned(&[(0, "a"), (1, "b")]));
+        assert_eq!(pass(&mut tail, u64::MAX), owned(&[]), "nothing new");
+
+        // A torn tail cut inside a multi-byte character is not decoded.
+        append(b"c\nd");
+        append(&"é".as_bytes()[..1]);
+        assert_eq!(pass(&mut tail, u64::MAX), owned(&[(2, "c")]));
+        assert_eq!((tail.pos, tail.offset), (3, 6));
+
+        // The limit (the synced watermark) holds later lines back.
+        append(&"é".as_bytes()[1..]);
+        append(b"\ne\n");
+        assert_eq!(pass(&mut tail, 4), owned(&[(3, "dé")]));
+        assert_eq!(pass(&mut tail, u64::MAX), owned(&[(4, "e")]));
+
+        // Compaction replaces the file: the cursor restarts at the entry
+        // after the new base line.
+        std::fs::write(&path, format!("{}\nf\n", crate::journal::base_line(5))).unwrap();
+        assert_eq!(pass(&mut tail, u64::MAX), owned(&[(5, "f")]));
+
+        // Seeking backwards rescans from the file's first entry.
+        append(b"g\n");
+        let (mut file, _) = tail.open().unwrap().unwrap();
+        tail.seek(&mut file, 5).unwrap();
+        assert_eq!(pass(&mut tail, u64::MAX), owned(&[(5, "f"), (6, "g")]));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -40,8 +40,7 @@ use trout_std::rng::SplitMix64;
 use crate::engine::PredictQuery;
 use crate::protocol::{
     ack_response, error_response, metrics_prometheus_response, metrics_response, parse_event,
-    prediction_response, promote_response, state_dump_response, trace_response, ClientEvent,
-    MetricsFormat,
+    prediction_response, promote_response, trace_response, ClientEvent, MetricsFormat,
 };
 use crate::shard::ShardSet;
 
@@ -285,9 +284,10 @@ impl RouterSession {
             }
             Ok(ClientEvent::StateDump) => {
                 self.flush(shards, out)?;
-                let watermarks = shards.journal_watermarks();
-                let state = shards.merged_state_to_json();
-                writeln!(out, "{}", state_dump_response(&watermarks, state))?;
+                // Built under the shard locks, written after they are
+                // released (the egress commit locks every shard).
+                let line = shards.state_dump_line();
+                writeln!(out, "{line}")?;
             }
             Ok(event) => {
                 // Lifecycle events keep response order: drain queued
@@ -630,8 +630,8 @@ mod tests {
             let line = crate::protocol::submit_line(rec);
             session.handle_line(&set, &line, &mut out).unwrap();
         }
-        let idx0 = set.lock(0).index().state_to_json().to_string();
-        let idx1 = set.lock(1).index().state_to_json().to_string();
+        let idx0 = set.lock(0).index().state_text();
+        let idx1 = set.lock(1).index().state_text();
         assert_eq!(idx0, idx1, "every shard holds the same index replica");
     }
 

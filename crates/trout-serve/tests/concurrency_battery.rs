@@ -216,10 +216,10 @@ fn load_generator_pairs_every_connection_one_to_one() {
     assert_eq!(m.sessions_total.get(), CONNS as u64);
     assert_eq!(m.sessions_live.get(), 0.0, "every connection drained");
     // Every shard saw every broadcast: replicas agree on the index.
-    let idx0 = shards.lock(0).index().state_to_json().to_string();
+    let idx0 = shards.lock(0).index().state_text();
     for i in 1..shards.len() {
         assert_eq!(
-            shards.lock(i).index().state_to_json().to_string(),
+            shards.lock(i).index().state_text(),
             idx0,
             "shard {i} replica diverged under concurrency"
         );
@@ -240,15 +240,15 @@ fn merged_four_shard_state_equals_single_shard_reference() {
         let shards = ShardSet::bootstrap(n, 300, &cfg(0));
         serve(&shards, &script);
         // Replicas first: every shard holds the full index.
-        let idx0 = shards.lock(0).index().state_to_json().to_string();
+        let idx0 = shards.lock(0).index().state_text();
         for i in 1..n {
             assert_eq!(
-                shards.lock(i).index().state_to_json().to_string(),
+                shards.lock(i).index().state_text(),
                 idx0,
                 "shard {i} index replica diverged"
             );
         }
-        merged.push(shards.merged_state_to_json().to_string());
+        merged.push(shards.merged_state_text());
         drift.push(shards.merged_drift());
     }
     assert_eq!(
@@ -286,7 +286,7 @@ fn merged_state_is_bit_identical_across_trout_threads() {
         std::env::set_var("TROUT_THREADS", threads);
         let shards = ShardSet::bootstrap(2, 200, &cfg(0));
         serve(&shards, &script);
-        states.push(shards.merged_state_to_json().to_string());
+        states.push(shards.merged_state_text());
     }
     std::env::remove_var("TROUT_THREADS");
     assert_eq!(
@@ -311,7 +311,7 @@ fn sharded_sigkill_recovery_is_byte_identical() {
     let reference = ShardSet::bootstrap(SHARDS, 300, &cfg(64));
     let ref_responses = serve(&reference, &script);
     let ref_states: Vec<String> = (0..SHARDS)
-        .map(|i| reference.lock(i).state_to_json().to_string())
+        .map(|i| reference.lock(i).state_text())
         .collect();
 
     // Crashing run: per-shard journals under shard-NNN/, first half only,
@@ -361,7 +361,7 @@ fn sharded_sigkill_recovery_is_byte_identical() {
     // And the final per-shard state is the reference's, byte for byte.
     for (i, want) in ref_states.iter().enumerate() {
         assert_eq!(
-            &recovered.lock(i).state_to_json().to_string(),
+            &recovered.lock(i).state_text(),
             want,
             "shard {i} recovered state is bit-identical"
         );

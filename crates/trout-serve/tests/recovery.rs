@@ -93,7 +93,7 @@ fn recovery_is_bit_identical_to_an_uninterrupted_run() {
     // Reference: one engine, no state dir, the whole script in one life.
     let reference = ShardSet::single(engine());
     let ref_responses = serve(&reference, &script);
-    let ref_state = reference.lock(0).state_to_json().to_string();
+    let ref_state = reference.lock(0).state_text();
 
     // Crashing run: journal every event (fsync policy 1, snapshot every 32
     // events), serve the first half, then "SIGKILL" — drop the engine with
@@ -140,7 +140,7 @@ fn recovery_is_bit_identical_to_an_uninterrupted_run() {
     assert_transcripts_match(&ref_rest, &rec_responses);
 
     // ...and the final engine state must serialize byte-identically.
-    let rec_state = recovered.lock(0).state_to_json().to_string();
+    let rec_state = recovered.lock(0).state_text();
     assert_eq!(
         rec_state, ref_state,
         "recovered state is bit-identical to the uninterrupted run"
@@ -175,8 +175,8 @@ fn snapshot_and_journal_only_recovery_agree() {
     assert_eq!(r1.journal_lines, r2.journal_lines, "same events journaled");
     assert_eq!(r2.replayed, r2.journal_lines, "journal-only replays all");
     assert_eq!(
-        from_snap.state_to_json().to_string(),
-        from_journal.state_to_json().to_string(),
+        from_snap.state_text(),
+        from_journal.state_text(),
         "snapshot+tail and full-journal recovery reach the same state"
     );
 
@@ -213,6 +213,46 @@ fn torn_journal_tail_is_dropped_and_recovery_proceeds() {
     assert_eq!(report.replayed, report.journal_lines);
     // The journal was truncated back to a record boundary: appending works
     // and a second recovery sees no torn bytes.
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn torn_tail_inside_a_multibyte_character_is_dropped() {
+    let live = SimulationBuilder::anvil_like().jobs(60).seed(5).run();
+    let script = trout_serve::replay_script(&live, 5);
+    let (first, _) = split_script(&script, 0.5);
+
+    let dir = state_dir("torn_utf8");
+    let before = {
+        let mut e = engine();
+        e.open_state_dir(&dir, 0, false).unwrap();
+        let m = ShardSet::single(e);
+        serve(&m, &first);
+        let state = m.lock(0).state_text();
+        state
+    };
+    // Crash mid-append inside `"é"`: the torn tail ends in the first byte
+    // of a two-byte character, so it is not valid UTF-8.
+    use std::io::Write;
+    let journal = dir.join(trout_serve::JOURNAL_FILE);
+    let mut f = std::fs::OpenOptions::new()
+        .append(true)
+        .open(&journal)
+        .unwrap();
+    f.write_all(b"{\"event\":\"submit\",\"job\":{\"name\":\"")
+        .unwrap();
+    f.write_all(&"é".as_bytes()[..1]).unwrap();
+    drop(f);
+
+    let mut e = engine();
+    let report = e.open_state_dir(&dir, 0, true).unwrap();
+    assert!(report.torn_bytes > 0, "the torn record was detected");
+    assert_eq!(report.replayed, report.journal_lines);
+    assert_eq!(
+        e.state_text(),
+        before,
+        "recovered to the last complete line"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -259,7 +299,7 @@ fn torn_only_line_recovers_to_the_snapshot_watermark() {
         "the journal base was repaired to the snapshot watermark"
     );
     assert_eq!(
-        e.state_to_json().to_string(),
+        e.state_text(),
         snap.get("state").unwrap().to_string(),
         "recovered exactly to the snapshot state"
     );
@@ -276,7 +316,7 @@ fn compaction_bounds_the_journal_and_recovery_stays_bit_identical() {
     // Reference: uninterrupted, no durability.
     let reference = ShardSet::single(engine());
     let ref_responses = serve(&reference, &script);
-    let ref_state = reference.lock(0).state_to_json().to_string();
+    let ref_state = reference.lock(0).state_text();
 
     let dir = state_dir("compact");
     let snapshot_every = 24u64;
@@ -320,7 +360,7 @@ fn compaction_bounds_the_journal_and_recovery_stays_bit_identical() {
         .collect();
     assert_transcripts_match(&ref_rest, &rec_responses);
     assert_eq!(
-        recovered.lock(0).state_to_json().to_string(),
+        recovered.lock(0).state_text(),
         ref_state,
         "compacted recovery is bit-identical to the uninterrupted run"
     );
@@ -343,17 +383,29 @@ fn nonempty_state_dir_is_refused_without_recover() {
 }
 
 /// Writes a snapshot of shard 0 and asserts the file holds exactly
-/// `{"journal_pos":P,"state":<state_to_json>}` for the engine as it is now.
-fn assert_snapshot_is_current_state(shards: &ShardSet, dir: &std::path::Path) {
+/// `{"journal_pos":P,"state":<state text>}` for the engine as it is now.
+/// The expected text comes from `fresh` after it restored the snapshot, so
+/// it shares no cached artefact text with the engine under test.
+fn assert_snapshot_is_current_state(
+    shards: &ShardSet,
+    dir: &std::path::Path,
+    mut fresh: ServeEngine,
+) {
     let mut e = shards.lock(0);
     e.write_snapshot().unwrap();
+    let got = std::fs::read_to_string(dir.join(trout_serve::SNAPSHOT_FILE)).unwrap();
+    let snap = Json::parse(&got).unwrap();
+    fresh.restore_state(snap.get("state").unwrap()).unwrap();
     let want = format!(
         "{{\"journal_pos\":{},\"state\":{}}}",
         e.journal_position(),
-        e.state_to_json()
+        fresh.state_text()
     );
-    let got = std::fs::read_to_string(dir.join(trout_serve::SNAPSHOT_FILE)).unwrap();
     assert!(got == want, "snapshot bytes differ from the engine state");
+    assert!(
+        e.state_text() == fresh.state_text(),
+        "state text differs from the engine state"
+    );
 }
 
 #[test]
@@ -380,28 +432,25 @@ fn snapshots_track_refits_and_restores_byte_for_byte() {
     let shards = ShardSet::single(e);
     serve(&shards, &first);
     assert_eq!(refits(&shards), 0, "no refit before the first snapshot");
-    assert_snapshot_is_current_state(&shards, &dir);
+    assert_snapshot_is_current_state(&shards, &dir, engine(5));
 
     // A refit publishes a new model: the next snapshot must carry it.
     serve(&shards, &rest);
     assert!(refits(&shards) > 0, "the rest of the script refits");
-    assert_snapshot_is_current_state(&shards, &dir);
+    assert_snapshot_is_current_state(&shards, &dir, engine(5));
 
     // A restore replaces both the model and the runtime forest. The fresh
     // engine bootstraps from another seed and snapshots its own artefacts
     // first, so text left over from before the restore would show.
-    let state = shards.lock(0).state_to_json();
+    let state = Json::parse(&shards.lock(0).state_text()).unwrap();
     let dir2 = state_dir("artefact_text_restored");
     let mut fresh = engine(4);
     fresh.open_state_dir(&dir2, 0, false).unwrap();
     let restored = ShardSet::single(fresh);
-    assert_snapshot_is_current_state(&restored, &dir2);
+    assert_snapshot_is_current_state(&restored, &dir2, engine(5));
     restored.lock(0).restore_state(&state).unwrap();
-    assert_snapshot_is_current_state(&restored, &dir2);
-    assert_eq!(
-        restored.lock(0).state_to_json().to_string(),
-        state.to_string()
-    );
+    assert_snapshot_is_current_state(&restored, &dir2, engine(5));
+    assert_eq!(restored.lock(0).state_text(), state.to_string());
 
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&dir2);

@@ -117,8 +117,8 @@ fn follower_streams_kill_leader_promote_byte_identical() {
     // divergence window is empty).
     assert_eq!(follower.journal_watermarks(), watermarks);
     assert_eq!(
-        follower.merged_state_to_json().to_string(),
-        leader.merged_state_to_json().to_string(),
+        follower.merged_state_text(),
+        leader.merged_state_text(),
         "follower state is byte-identical to the dead leader's at the watermark"
     );
     // The one documented exception: abs_err_sum is an order-sensitive f64
@@ -230,8 +230,8 @@ fn stale_follower_catches_up_from_snapshot_past_compaction() {
 
     assert_eq!(follower.journal_watermarks(), watermarks);
     assert_eq!(
-        follower.merged_state_to_json().to_string(),
-        leader.merged_state_to_json().to_string(),
+        follower.merged_state_text(),
+        leader.merged_state_text(),
         "snapshot + tail catch-up converges byte-identically"
     );
 
@@ -265,7 +265,7 @@ fn state_dump_is_the_replication_oracle_over_the_wire() {
     }
     assert_eq!(
         resp.get("state").unwrap().to_string(),
-        shards.merged_state_to_json().to_string(),
+        shards.merged_state_text(),
         "the state member is the canonical merged state, byte for byte"
     );
 
@@ -330,10 +330,7 @@ fn leader_streams_only_committed_entries() {
     hub.stop();
     follower.request_promote();
     fthread.join().unwrap().unwrap();
-    assert_eq!(
-        follower.merged_state_to_json().to_string(),
-        leader.merged_state_to_json().to_string()
-    );
+    assert_eq!(follower.merged_state_text(), leader.merged_state_text());
     let _ = std::fs::remove_dir_all(&ldir);
     let _ = std::fs::remove_dir_all(&fdir);
 }
@@ -380,8 +377,8 @@ fn follower_catch_up_group_commits_fewer_fsyncs_than_entries() {
     follower.request_promote();
     fthread.join().unwrap().unwrap();
     assert_eq!(
-        follower.merged_state_to_json().to_string(),
-        leader.merged_state_to_json().to_string(),
+        follower.merged_state_text(),
+        leader.merged_state_text(),
         "group-committed catch-up stays byte-identical"
     );
     let _ = std::fs::remove_dir_all(&ldir);

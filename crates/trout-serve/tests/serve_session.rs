@@ -257,6 +257,50 @@ fn sharded_session_responses_are_byte_identical_to_single_shard() {
     }
 }
 
+/// An N-shard daemon's JSON metrics dump has the 1-shard sections,
+/// replication included, so clients parse one schema at any shard count.
+#[test]
+fn sharded_metrics_dump_keeps_the_single_shard_sections() {
+    let live = SimulationBuilder::anvil_like().jobs(60).seed(9).run();
+    let script = event_script(&live, 3);
+    let cfg = ServeConfig {
+        refit_every: 0,
+        seed: 3,
+        ..Default::default()
+    };
+    let keys = |j: &Json| -> Vec<String> {
+        j.expect_obj("section")
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.clone())
+            .collect()
+    };
+    let mut dumps = Vec::new();
+    for n in [1usize, 2] {
+        let shards = ShardSet::bootstrap(n, 400, &cfg);
+        let mut out: Vec<u8> = Vec::new();
+        run_session(&shards, Cursor::new(script.clone()), &mut out, 32).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let line = text
+            .lines()
+            .find(|l| l.contains("\"event\":\"metrics\""))
+            .expect("a metrics response")
+            .to_string();
+        assert!(
+            line.contains("\"replication\":{\"followers\":0,"),
+            "{n} shards"
+        );
+        dumps.push(Json::parse(&line).unwrap().get("metrics").unwrap().clone());
+    }
+    assert_eq!(keys(&dumps[0]), keys(&dumps[1]), "same sections in order");
+    let section = |d: &Json| d.get("replication").unwrap().clone();
+    assert_eq!(
+        section(&dumps[0]),
+        section(&dumps[1]),
+        "no replication traffic"
+    );
+}
+
 #[test]
 fn bad_lines_get_error_responses_and_do_not_kill_the_session() {
     let shards = ShardSet::single(engine());

@@ -55,17 +55,32 @@ pub fn atomic_write_with(
     sync_dir(dir)
 }
 
+/// Length of the newline-terminated prefix of `bytes`: everything up to
+/// and including the last `\n`.
+fn complete_prefix_len(bytes: &[u8]) -> usize {
+    bytes
+        .iter()
+        .rposition(|&b| b == b'\n')
+        .map_or(0, |last| last + 1)
+}
+
+/// Decodes the complete lines of a journal. Only the newline-terminated
+/// prefix is decoded, so a crash mid-append inside a multi-byte character
+/// tears nothing but the tail; a non-UTF-8 byte inside a complete line is
+/// an `InvalidData` error.
+fn complete_text(bytes: &[u8]) -> io::Result<&str> {
+    std::str::from_utf8(&bytes[..complete_prefix_len(bytes)])
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+}
+
 /// Reads every newline-terminated line of `path`. A final unterminated
-/// fragment (the signature of a crash mid-append) is **not** returned;
-/// the second element reports how many bytes of torn tail were ignored.
+/// fragment (the signature of a crash mid-append) is **not** returned, nor
+/// decoded; the second element reports how many bytes of torn tail were
+/// ignored.
 pub fn read_complete_lines(path: &Path) -> io::Result<(Vec<String>, usize)> {
-    let mut text = String::new();
-    File::open(path)?.read_to_string(&mut text)?;
-    let complete = match text.rfind('\n') {
-        Some(last) => &text[..=last],
-        None => "",
-    };
-    let torn = text.len() - complete.len();
+    let bytes = std::fs::read(path)?;
+    let complete = complete_text(&bytes)?;
+    let torn = bytes.len() - complete.len();
     Ok((complete.lines().map(|l| l.to_string()).collect(), torn))
 }
 
@@ -79,17 +94,14 @@ pub fn open_append_complete(path: &Path) -> io::Result<(File, u64)> {
         .create(true)
         .append(true)
         .open(path)?;
-    let mut text = String::new();
-    f.read_to_string(&mut text)?;
-    let keep = match text.rfind('\n') {
-        Some(last) => last + 1,
-        None => 0,
-    };
-    if keep < text.len() {
+    let mut bytes = Vec::new();
+    f.read_to_end(&mut bytes)?;
+    let keep = complete_text(&bytes)?.len();
+    if keep < bytes.len() {
         truncate_sync(&mut f, keep as u64)?;
     }
     f.seek(SeekFrom::End(0))?;
-    let lines = text[..keep].lines().count() as u64;
+    let lines = bytes[..keep].iter().filter(|&&b| b == b'\n').count() as u64;
     Ok((f, lines))
 }
 
@@ -157,6 +169,35 @@ mod tests {
         append_line(&mut f, &mut Vec::new(), "c").unwrap();
         drop(f);
         assert_eq!(std::fs::read_to_string(&p).unwrap(), "a\nb\nc\n");
+        std::fs::remove_file(&p).unwrap();
+    }
+
+    #[test]
+    fn torn_multibyte_tail_is_dropped_but_bad_complete_lines_error() {
+        // A crash mid-append cut `"é"` after its first byte: the torn tail
+        // is not UTF-8, yet only the tail is dropped.
+        let p = tmp("torn_utf8");
+        let mut bytes = b"{\"a\":1}\n{\"name\":\"".to_vec();
+        bytes.push("é".as_bytes()[0]);
+        std::fs::write(&p, &bytes).unwrap();
+        let (lines, torn) = read_complete_lines(&p).unwrap();
+        assert_eq!(lines, vec!["{\"a\":1}"]);
+        assert_eq!(torn, bytes.len() - 8);
+        let (mut f, n) = open_append_complete(&p).unwrap();
+        assert_eq!(n, 1);
+        append_line(&mut f, &mut Vec::new(), "b").unwrap();
+        drop(f);
+        assert_eq!(std::fs::read_to_string(&p).unwrap(), "{\"a\":1}\nb\n");
+
+        // The same byte inside a complete line is corruption, not a tear.
+        bytes.push(b'\n');
+        std::fs::write(&p, &bytes).unwrap();
+        for err in [
+            read_complete_lines(&p).unwrap_err(),
+            open_append_complete(&p).unwrap_err(),
+        ] {
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
         std::fs::remove_file(&p).unwrap();
     }
 

@@ -13,6 +13,10 @@
 //! trip exactly; floats write their shortest round-trip decimal form, with
 //! `f32` widened to `f64` first so the reparsed value is bit-identical.
 //! Non-finite floats serialize as `null` and parse back as NaN.
+//!
+//! Large documents are written without a tree: [`ToJson::write_json`]
+//! appends a value's text to any [`fmt::Write`] sink, and [`write_io`]
+//! points such a sink at a file or socket.
 
 use std::fmt::{self, Write as _};
 use std::io;
@@ -182,26 +186,14 @@ impl Json {
             }
         }
     }
-
-    /// Streams the compact text into an [`io::Write`] (the same bytes as
-    /// `to_string`, with no in-memory copy of the whole document).
-    pub fn write_io<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
-        let mut sink = IoSink {
-            inner: w,
-            err: None,
-        };
-        self.write_to(&mut sink).map_err(|_| {
-            sink.err
-                .unwrap_or_else(|| io::Error::other("json formatting failed"))
-        })
-    }
 }
 
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // Build the text with direct `String` writes and hand it over in
         // one piece: cheaper for the short wire lines than a dynamic
-        // formatter call per token. Large documents stream via `write_io`.
+        // formatter call per token. Large documents skip the tree and
+        // stream through `ToJson::write_json`.
         let mut s = String::new();
         self.write_to(&mut s)?;
         f.write_str(&s)
@@ -223,10 +215,27 @@ impl<W: fmt::Write> fmt::Write for FloatMarker<'_, W> {
 }
 
 /// Adapts an [`io::Write`] to [`fmt::Write`], keeping the I/O error that
-/// `fmt::Error` cannot carry.
-struct IoSink<'a, W> {
+/// `fmt::Error` cannot carry. Made by [`write_io`].
+pub struct IoSink<'a, W> {
     inner: &'a mut W,
     err: Option<io::Error>,
+}
+
+/// Runs `write` against an [`fmt::Write`] view of `w`, so JSON text (see
+/// [`ToJson::write_json`]) streams into a file or socket with no in-memory
+/// copy of the whole document. Returns the I/O error that stopped it.
+pub fn write_io<W: io::Write>(
+    w: &mut W,
+    write: impl FnOnce(&mut IoSink<'_, W>) -> fmt::Result,
+) -> io::Result<()> {
+    let mut sink = IoSink {
+        inner: w,
+        err: None,
+    };
+    write(&mut sink).map_err(|_| {
+        sink.err
+            .unwrap_or_else(|| io::Error::other("json formatting failed"))
+    })
 }
 
 impl<W: io::Write> fmt::Write for IoSink<'_, W> {
@@ -500,15 +509,46 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Serialization into a [`Json`] value.
+/// Serialization into a [`Json`] value, or straight to its text.
 pub trait ToJson {
     /// Converts `self` to a JSON value.
     fn to_json(&self) -> Json;
 
+    /// Appends the compact text of [`to_json`](ToJson::to_json) to `out`.
+    /// Containers and [`impl_json_struct!`](crate::impl_json_struct) types
+    /// override it to write their brackets and keys and recurse, so a large
+    /// document is written without ever existing as a tree; leaves keep
+    /// this default, which keeps number and string formatting in one place.
+    fn write_json<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        self.to_json().write_to(out)
+    }
+
     /// Convenience: the compact JSON text.
     fn to_json_string(&self) -> String {
-        self.to_json().to_string()
+        let mut s = String::new();
+        self.write_json(&mut s)
+            .expect("writing to a String cannot fail");
+        s
     }
+}
+
+/// Writes `items` as a JSON array, each through [`ToJson::write_json`].
+pub fn write_json_array<'a, T, W>(
+    items: impl IntoIterator<Item = &'a T>,
+    out: &mut W,
+) -> fmt::Result
+where
+    T: ToJson + 'a + ?Sized,
+    W: fmt::Write,
+{
+    out.write_char('[')?;
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.write_char(',')?;
+        }
+        item.write_json(out)?;
+    }
+    out.write_char(']')
 }
 
 /// Deserialization from a [`Json`] value.
@@ -612,6 +652,10 @@ impl ToJson for String {
     fn to_json(&self) -> Json {
         Json::Str(self.clone())
     }
+
+    fn write_json<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        write_string(self, out)
+    }
 }
 
 impl FromJson for String {
@@ -630,11 +674,19 @@ impl ToJson for str {
     fn to_json(&self) -> Json {
         Json::Str(self.to_string())
     }
+
+    fn write_json<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        write_string(self, out)
+    }
 }
 
 impl<T: ToJson> ToJson for Vec<T> {
     fn to_json(&self) -> Json {
         Json::Arr(self.iter().map(ToJson::to_json).collect())
+    }
+
+    fn write_json<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        write_json_array(self, out)
     }
 }
 
@@ -649,6 +701,13 @@ impl<T: ToJson> ToJson for Option<T> {
         match self {
             Some(v) => v.to_json(),
             None => Json::Null,
+        }
+    }
+
+    fn write_json<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        match self {
+            Some(v) => v.write_json(out),
+            None => out.write_str("null"),
         }
     }
 }
@@ -672,6 +731,14 @@ impl<T: FromJson> FromJson for Option<T> {
 impl<A: ToJson, B: ToJson> ToJson for (A, B) {
     fn to_json(&self) -> Json {
         Json::Arr(vec![self.0.to_json(), self.1.to_json()])
+    }
+
+    fn write_json<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        out.write_char('[')?;
+        self.0.write_json(out)?;
+        out.write_char(',')?;
+        self.1.write_json(out)?;
+        out.write_char(']')
     }
 }
 
@@ -705,6 +772,19 @@ macro_rules! impl_json_struct {
                     $( (stringify!($field).to_string(), $crate::json::ToJson::to_json(&self.$field)), )+
                 ])
             }
+
+            fn write_json<W: ::std::fmt::Write>(&self, out: &mut W) -> ::std::fmt::Result {
+                // Field names are identifiers: they never need escaping.
+                let mut open = "{";
+                $(
+                    out.write_str(open)?;
+                    out.write_str(concat!("\"", stringify!($field), "\":"))?;
+                    $crate::json::ToJson::write_json(&self.$field, out)?;
+                    open = ",";
+                )+
+                let _ = open;
+                out.write_str("}")
+            }
         }
         impl $crate::json::FromJson for $ty {
             fn from_json(j: &$crate::json::Json) -> Result<Self, $crate::json::JsonError> {
@@ -730,6 +810,12 @@ macro_rules! impl_json_enum {
                 match self {
                     $( $ty::$variant => $crate::json::Json::Str(stringify!($variant).to_string()), )+
                 }
+            }
+
+            fn write_json<W: ::std::fmt::Write>(&self, out: &mut W) -> ::std::fmt::Result {
+                out.write_str(match self {
+                    $( $ty::$variant => concat!("\"", stringify!($variant), "\""), )+
+                })
             }
         }
         impl $crate::json::FromJson for $ty {
@@ -894,7 +980,7 @@ mod tests {
     fn write_io_streams_the_display_bytes() {
         let v = Json::parse(r#"{"a":[1,2.5,-0.0,null,true,"x\ny"],"b":{"c":1e300}}"#).unwrap();
         let mut buf = Vec::new();
-        v.write_io(&mut buf).unwrap();
+        write_io(&mut buf, |w| v.write_to(w)).unwrap();
         assert_eq!(String::from_utf8(buf).unwrap(), v.to_string());
     }
 
