@@ -21,6 +21,24 @@ for tier in scalar sse2 avx2; do
     TROUT_SIMD="$tier" cargo test -q --offline -p trout-ml --test golden_nn
 done
 
+# Model bytes across tiers and threads: a full `trout train` on a trace big
+# enough for 256-row batches (AVX2 runs those as register tiles, the other
+# tiers row at a time) must write the same model file under every tier and
+# thread count.
+model_tmp=$(mktemp -d)
+./target/release/trout simulate --jobs 5000 --seed 3 --out "$model_tmp/trace.csv"
+for tier in scalar sse2 avx2; do
+    for threads in 1 2; do
+        TROUT_SIMD="$tier" TROUT_THREADS="$threads" ./target/release/trout train \
+            --trace "$model_tmp/trace.csv" --seed 5 \
+            --out "$model_tmp/model-$tier-$threads.json"
+    done
+done
+for model in "$model_tmp"/model-*.json; do
+    cmp "$model_tmp/model-scalar-1.json" "$model"
+done
+rm -rf "$model_tmp"
+
 # Serve protocol smoke: flatten a small trace into a ~200-line ndjson replay
 # script, pipe it through the daemon, and require one well-formed ok-response
 # per request line plus a clean exit. A Prometheus-format metrics request is

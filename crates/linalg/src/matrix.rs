@@ -1,3 +1,4 @@
+use crate::simd::{self, SimdTier};
 use trout_std::par;
 
 /// Row-major dense `f32` matrix.
@@ -152,8 +153,10 @@ impl Matrix {
     /// bit-identical — while the out-row load/store traffic amortizes 8×.
     /// Every result equals the step-by-step chain that skips `a == 0.0`
     /// terms; [`fused_skips_zeros`] says when a block holding a zero may
-    /// still take the fused pass (see [`axpy_block8`]). A one-column product
-    /// runs eight rows' chains side by side instead ([`matvec_into`]).
+    /// still take the fused pass (see [`axpy_block8`]); on the AVX2 tier a
+    /// fused product runs as register tiles instead (`simd::gemm_rows`,
+    /// the same chain per element). A one-column product runs eight rows'
+    /// chains side by side ([`matvec_into`]).
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.rows, "matmul dimension mismatch");
         let (m, k, n) = (self.rows, self.cols, other.cols);
@@ -162,8 +165,19 @@ impl Matrix {
             matvec_into(&self.data, k, &other.data, &mut out.data);
             return;
         }
-        out.data.fill(0.0);
+        let parallel = m >= PAR_MIN_ROWS && m * k * n >= PAR_THRESHOLD;
         let fused = fused_skips_zeros(m, &other.data);
+        if fused && n > 0 {
+            let tier = SimdTier::current();
+            if simd::tiled(tier) {
+                let group = simd::GEMM_TILE_ROWS;
+                for_row_groups(&mut out.data, n, group, parallel, |r0, rows| {
+                    simd::gemm_rows(tier, &self.data[r0 * k..], k, 1, k, &other.data, n, rows);
+                });
+                return;
+            }
+        }
+        out.data.fill(0.0);
         let body = |r: usize, out_row: &mut [f32]| {
             let a_row = &self.data[r * k..(r + 1) * k];
             let mut kk = 0;
@@ -191,7 +205,7 @@ impl Matrix {
                 }
             }
         };
-        if m >= PAR_MIN_ROWS && m * k * n >= PAR_THRESHOLD && n > 0 {
+        if parallel && n > 0 {
             par::par_chunks_mut(&mut out.data, n, body);
         } else if n > 0 {
             out.data
@@ -217,12 +231,23 @@ impl Matrix {
     /// pattern (so the result is bit-identical to a per-column `dot`), but
     /// the four reduction chains are independent, which quadruples the ILP
     /// this reduction-bound kernel exposes and amortizes the `a_row` loads.
+    /// On the AVX2 tier four rows share each pass over `other` instead
+    /// (`simd::gemm_bt_rows`, the same `dot` per element).
     pub fn matmul_bt_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.cols, "matmul_bt dimension mismatch");
         let (m, k, n) = (self.rows, self.cols, other.rows);
         // No zero-fill: every output element is assigned (not accumulated
-        // into) by the body below.
+        // into) by the bodies below.
         out.reshape_scratch(m, n);
+        let parallel = m * k * n >= PAR_THRESHOLD;
+        let tier = SimdTier::current();
+        if n > 0 && simd::tiled(tier) {
+            let group = simd::GEMM_BT_TILE_ROWS;
+            for_row_groups(&mut out.data, n, group, parallel, |r0, rows| {
+                simd::gemm_bt_rows(tier, &self.data[r0 * k..], k, &other.data, n, rows);
+            });
+            return;
+        }
         let body = |r: usize, out_row: &mut [f32]| {
             let a_row = &self.data[r * k..(r + 1) * k];
             let mut c = 0;
@@ -243,7 +268,7 @@ impl Matrix {
                 out_row[cc] = crate::ops::dot(a_row, b_row);
             }
         };
-        if m * k * n >= PAR_THRESHOLD && n > 0 {
+        if parallel && n > 0 {
             par::par_chunks_mut(&mut out.data, n, body);
         } else if n > 0 {
             out.data
@@ -270,18 +295,30 @@ impl Matrix {
     /// ascending order as the serial loop, including the `a == 0.0` skip, so
     /// the float summation sequence per element is identical for any thread
     /// count. The fused-block rule is [`Matrix::matmul_into`]'s, with `other`
-    /// (`dY` in backprop) as the right operand; a one-column product walks
-    /// `self`'s rows contiguously instead ([`matvec_t_into`]).
+    /// (`dY` in backprop) as the right operand, and so are its AVX2 register
+    /// tiles, which read `self` down its columns (stride `m`); a one-column
+    /// product walks `self`'s rows contiguously instead ([`matvec_t_into`]).
     pub fn matmul_at_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, other.rows, "matmul_at dimension mismatch");
         let (k, m, n) = (self.rows, self.cols, other.cols);
         out.reshape_scratch(m, n);
+        let fused = n > 1 && fused_skips_zeros(k, &other.data);
+        if fused {
+            let tier = SimdTier::current();
+            if simd::tiled(tier) {
+                let group = simd::GEMM_TILE_ROWS;
+                let parallel = k * m * n >= PAR_THRESHOLD;
+                for_row_groups(&mut out.data, n, group, parallel, |c0, rows| {
+                    simd::gemm_rows(tier, &self.data[c0..], 1, m, k, &other.data, n, rows);
+                });
+                return;
+            }
+        }
         out.data.fill(0.0);
         if n == 1 {
             matvec_t_into(&self.data, m, &other.data, &mut out.data);
             return;
         }
-        let fused = fused_skips_zeros(k, &other.data);
         // The row-parallel split needs each worker to gather its `a` column
         // strided, which costs a cache line per element; the serial algorithm
         // streams both inputs contiguously instead. Both orders are
@@ -427,6 +464,30 @@ impl Matrix {
             }
         }
         out
+    }
+}
+
+/// Runs `tile(first_row, rows)` over `out` (row-major, `n > 0` wide): once
+/// over every row, or, when `parallel`, over whole groups of `group` rows
+/// split across workers (each taking a contiguous run of groups) and then
+/// once over the last `rows % group` rows. Every output row is computed
+/// independently, so the split never changes a bit.
+fn for_row_groups(
+    out: &mut [f32],
+    n: usize,
+    group: usize,
+    parallel: bool,
+    tile: impl Fn(usize, &mut [f32]) + Sync,
+) {
+    if !parallel {
+        tile(0, out);
+        return;
+    }
+    let split = out.len() / (group * n) * (group * n);
+    let (full, rest) = out.split_at_mut(split);
+    par::par_chunks_mut(full, group * n, |g, rows| tile(g * group, rows));
+    if !rest.is_empty() {
+        tile(split / n, rest);
     }
 }
 

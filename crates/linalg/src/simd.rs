@@ -511,6 +511,369 @@ unsafe fn dot4_avx2(
     (s0, s1, s2, s3)
 }
 
+// ---------------------------------------------------------------------------
+// Register tiles for the training products (AVX2)
+// ---------------------------------------------------------------------------
+
+/// Output rows per register tile of [`gemm_rows`]: six rows × 16 columns
+/// is twelve `__m256` accumulators, plus two `b` vectors and a broadcast.
+pub(crate) const GEMM_TILE_ROWS: usize = 6;
+
+/// Output rows per register tile of [`gemm_bt_rows`].
+pub(crate) const GEMM_BT_TILE_ROWS: usize = 4;
+
+/// Whether `tier` (clamped to the hardware) has the register-tiled product
+/// kernels [`gemm_rows`] and [`gemm_bt_rows`]. Only AVX2 does; narrower
+/// tiers keep the row-at-a-time kernels, which compute the same bits.
+pub(crate) fn tiled(tier: SimdTier) -> bool {
+    tier.min(SimdTier::best_supported()) == SimdTier::Avx2
+}
+
+/// `out = A · B` over `rows = out.len() / n` output rows, where A's element
+/// `(r, kk)` is `a[r·rs + kk·ks]` (a row-major left operand has `rs = k,
+/// ks = 1`; a transposed one `rs = 1, ks = m`) and `b` is row-major `k × n`.
+///
+/// Each register tile holds [`GEMM_TILE_ROWS`] output rows × 16 columns for
+/// the whole shared dimension, then one 8-column vector and one masked
+/// vector take the last columns, and the last `rows % 6` rows run the same
+/// kernel with fewer rows. Every output element starts at `+0.0` and takes
+/// `acc = acc + a·b` for `kk` ascending, a multiply then an add: the chain
+/// a zero-filled row updated by [`axpy8`]/[`axpy4`] passes sees, so the bits
+/// equal the row-at-a-time kernels whenever those take every term.
+///
+/// # Panics
+///
+/// Panics unless [`tiled`]`(tier)`, `n > 0`, `out.len()` is a multiple of
+/// `n`, `b` holds `k × n` values and every `(r, kk)` index lies in `a`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_rows(
+    tier: SimdTier,
+    a: &[f32],
+    rs: usize,
+    ks: usize,
+    k: usize,
+    b: &[f32],
+    n: usize,
+    out: &mut [f32],
+) {
+    assert!(tiled(tier), "gemm_rows needs the AVX2 tier");
+    assert!(
+        n > 0 && out.len().is_multiple_of(n),
+        "gemm_rows output shape"
+    );
+    let rows = out.len() / n;
+    assert!(b.len() >= k * n, "gemm_rows right operand too short");
+    assert!(
+        rows == 0 || k == 0 || (rows - 1) * rs + (k - 1) * ks < a.len(),
+        "gemm_rows left operand too short"
+    );
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `tiled` clamps to the detected tier, so AVX2 is present; the
+    // asserts above bound every index the kernel reads and writes.
+    unsafe {
+        gemm_rows_avx2(a.as_ptr(), rs, ks, k, b.as_ptr(), n, out.as_mut_ptr(), rows)
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn gemm_rows_avx2(
+    a: *const f32,
+    rs: usize,
+    ks: usize,
+    k: usize,
+    b: *const f32,
+    n: usize,
+    out: *mut f32,
+    rows: usize,
+) {
+    // SAFETY (all calls): row group `r` reads `a` rows `r..r + R` and writes
+    // `out` rows `r..r + R`, inside the bounds the caller checked.
+    unsafe {
+        let mut r = 0;
+        while r + GEMM_TILE_ROWS <= rows {
+            gemm_group::<GEMM_TILE_ROWS>(a.add(r * rs), rs, ks, k, b, n, out.add(r * n));
+            r += GEMM_TILE_ROWS;
+        }
+        let (a, out) = (a.add(r * rs), out.add(r * n));
+        match rows - r {
+            1 => gemm_group::<1>(a, rs, ks, k, b, n, out),
+            2 => gemm_group::<2>(a, rs, ks, k, b, n, out),
+            3 => gemm_group::<3>(a, rs, ks, k, b, n, out),
+            4 => gemm_group::<4>(a, rs, ks, k, b, n, out),
+            5 => gemm_group::<5>(a, rs, ks, k, b, n, out),
+            _ => {}
+        }
+    }
+}
+
+/// `R` output rows across all `n` columns: 16-column tiles, then an
+/// 8-column one, then a masked one for the last `n % 8` columns.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+#[allow(clippy::too_many_arguments)]
+unsafe fn gemm_group<const R: usize>(
+    a: *const f32,
+    rs: usize,
+    ks: usize,
+    k: usize,
+    b: *const f32,
+    n: usize,
+    out: *mut f32,
+) {
+    use core::arch::x86_64::*;
+    // SAFETY: every column tile stays below `n`; the masked tile reads and
+    // writes only the lanes below `n - j`.
+    unsafe {
+        let mut j = 0;
+        while j + 16 <= n {
+            gemm_tile::<R, 2, false>(
+                a,
+                rs,
+                ks,
+                k,
+                b.add(j),
+                n,
+                out.add(j),
+                _mm256_setzero_si256(),
+            );
+            j += 16;
+        }
+        if j + 8 <= n {
+            gemm_tile::<R, 1, false>(
+                a,
+                rs,
+                ks,
+                k,
+                b.add(j),
+                n,
+                out.add(j),
+                _mm256_setzero_si256(),
+            );
+            j += 8;
+        }
+        if j < n {
+            let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+            let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32((n - j) as i32), lanes);
+            gemm_tile::<R, 1, true>(a, rs, ks, k, b.add(j), n, out.add(j), mask);
+        }
+    }
+}
+
+/// One `R × 8V` register tile over the whole shared dimension: per step,
+/// `V` loads of `b`, one broadcast of `a` per row, `R·V` multiplies and
+/// adds. `MASKED` loads and stores only the lanes `mask` selects.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+#[allow(clippy::too_many_arguments)]
+unsafe fn gemm_tile<const R: usize, const V: usize, const MASKED: bool>(
+    a: *const f32,
+    rs: usize,
+    ks: usize,
+    k: usize,
+    b: *const f32,
+    n: usize,
+    out: *mut f32,
+    mask: core::arch::x86_64::__m256i,
+) {
+    use core::arch::x86_64::*;
+    // SAFETY: the caller bounds rows `0..R` of `a`/`out`, steps `0..k` of
+    // `b`, and the `8V` columns (or the masked lanes) from `b`/`out`.
+    unsafe {
+        let mut acc = [[_mm256_setzero_ps(); V]; R];
+        for kk in 0..k {
+            let bp = b.add(kk * n);
+            let vb: [__m256; V] = core::array::from_fn(|v| {
+                if MASKED {
+                    _mm256_maskload_ps(bp, mask)
+                } else {
+                    _mm256_loadu_ps(bp.add(8 * v))
+                }
+            });
+            for (r, acc_r) in acc.iter_mut().enumerate() {
+                let va = _mm256_set1_ps(*a.add(r * rs + kk * ks));
+                for (acc_rv, &vb_v) in acc_r.iter_mut().zip(&vb) {
+                    *acc_rv = _mm256_add_ps(*acc_rv, _mm256_mul_ps(va, vb_v));
+                }
+            }
+        }
+        for (r, acc_r) in acc.iter().enumerate() {
+            for (v, &acc_rv) in acc_r.iter().enumerate() {
+                let op = out.add(r * n + 8 * v);
+                if MASKED {
+                    _mm256_maskstore_ps(op, mask, acc_rv);
+                } else {
+                    _mm256_storeu_ps(op, acc_rv);
+                }
+            }
+        }
+    }
+}
+
+/// `out = A · Bᵀ` over `rows = out.len() / n` output rows, for row-major
+/// `a` (rows of width `k`) and `b` (`n` rows of width `k`): every element is
+/// bit-identical to [`crate::ops::dot`] of its `a` and `b` rows.
+///
+/// Each tile shares one pass over a `b` chunk between
+/// [`GEMM_BT_TILE_ROWS`] rows of `a`, four columns at a time (the last
+/// `n % 4` columns as one narrower tile). As in [`dot4`]'s AVX2 form, each
+/// 128-bit half of an accumulator performs exactly `dot`'s four-lane
+/// per-chunk `add(acc, mul)` — here the halves are two rows of `a` against
+/// one broadcast `b` chunk — so every element's four lanes, their
+/// left-to-right reduction and its tail steps are `dot`'s. The last
+/// `rows % 4` rows run [`dot4`]'s AVX2 form and `dot`.
+///
+/// # Panics
+///
+/// Panics unless [`tiled`]`(tier)`, `n > 0`, `out.len()` is a multiple of
+/// `n`, and `a`/`b` hold `rows × k`/`n × k` values.
+pub(crate) fn gemm_bt_rows(
+    tier: SimdTier,
+    a: &[f32],
+    k: usize,
+    b: &[f32],
+    n: usize,
+    out: &mut [f32],
+) {
+    assert!(tiled(tier), "gemm_bt_rows needs the AVX2 tier");
+    assert!(
+        n > 0 && out.len().is_multiple_of(n),
+        "gemm_bt_rows output shape"
+    );
+    let rows = out.len() / n;
+    assert!(
+        a.len() >= rows * k && b.len() >= n * k,
+        "gemm_bt_rows operands too short"
+    );
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `tiled` clamps to the detected tier, so AVX2 is present.
+    unsafe {
+        gemm_bt_rows_avx2(a, k, b, n, out)
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn gemm_bt_rows_avx2(a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]) {
+    const R: usize = GEMM_BT_TILE_ROWS;
+    let rows = out.len() / n;
+    let full = rows / R * R;
+    // SAFETY: tile `(r, c)` reads rows `r..r + 4` of `a` and `c..c + NC` of
+    // `b` and writes the matching `out` cells, all inside the lengths the
+    // caller checked.
+    unsafe {
+        for r in (0..full).step_by(R) {
+            let (ap, op) = (a.as_ptr().add(r * k), out.as_mut_ptr().add(r * n));
+            let mut c = 0;
+            while c + 4 <= n {
+                gemm_bt_tile::<4>(ap, k, b.as_ptr().add(c * k), n, op.add(c));
+                c += 4;
+            }
+            let (bp, op) = (b.as_ptr().add(c * k), op.add(c));
+            match n - c {
+                1 => gemm_bt_tile::<1>(ap, k, bp, n, op),
+                2 => gemm_bt_tile::<2>(ap, k, bp, n, op),
+                3 => gemm_bt_tile::<3>(ap, k, bp, n, op),
+                _ => {}
+            }
+        }
+    }
+    for r in full..rows {
+        let a_row = &a[r * k..(r + 1) * k];
+        let out_row = &mut out[r * n..(r + 1) * n];
+        let mut c = 0;
+        while c + 4 <= n {
+            let bs: [&[f32]; 4] = core::array::from_fn(|l| &b[(c + l) * k..(c + l + 1) * k]);
+            // SAFETY: AVX2 is enabled on this function.
+            let s = unsafe { dot4_avx2(a_row, bs[0], bs[1], bs[2], bs[3]) };
+            out_row[c..c + 4].copy_from_slice(&[s.0, s.1, s.2, s.3]);
+            c += 4;
+        }
+        for cc in c..n {
+            out_row[cc] = crate::ops::dot(a_row, &b[cc * k..(cc + 1) * k]);
+        }
+    }
+}
+
+/// A 4-row × `NC`-column tile of [`gemm_bt_rows`] (`NC <= 4`). Accumulator
+/// `acc[c][p]` holds rows `2p` (low half) and `2p + 1` (high half) against
+/// column `c`. The finish transposes each half's 4 × 4 block of lanes so one
+/// vector add per lane index performs every element's `((l0 + l1) + l2) + l3`
+/// reduction, then adds the `k % 4` tail terms one step at a time — `dot`'s
+/// order, four columns per 128-bit half.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn gemm_bt_tile<const NC: usize>(
+    a: *const f32,
+    k: usize,
+    b: *const f32,
+    n: usize,
+    out: *mut f32,
+) {
+    use core::arch::x86_64::*;
+    let chunks = k / 4;
+    // SAFETY: the caller bounds rows `0..4` of `a` (width `k`), rows
+    // `0..NC` of `b` (width `k`) and the 4 × NC cells of `out`; lanes for
+    // columns `NC..4` are zero and never stored.
+    unsafe {
+        let mut acc = [[_mm256_setzero_ps(); 2]; 4];
+        for i in 0..chunks {
+            let j = i * 4;
+            let a01 = _mm256_set_m128(_mm_loadu_ps(a.add(k + j)), _mm_loadu_ps(a.add(j)));
+            let a23 = _mm256_set_m128(
+                _mm_loadu_ps(a.add(3 * k + j)),
+                _mm_loadu_ps(a.add(2 * k + j)),
+            );
+            for (c, acc_c) in acc.iter_mut().enumerate().take(NC) {
+                let vb = _mm256_broadcast_ps(&_mm_loadu_ps(b.add(c * k + j)));
+                acc_c[0] = _mm256_add_ps(acc_c[0], _mm256_mul_ps(a01, vb));
+                acc_c[1] = _mm256_add_ps(acc_c[1], _mm256_mul_ps(a23, vb));
+            }
+        }
+        let mut sums = [_mm256_setzero_ps(); 2];
+        for (p, sum) in sums.iter_mut().enumerate() {
+            let t0 = _mm256_unpacklo_ps(acc[0][p], acc[1][p]);
+            let t1 = _mm256_unpacklo_ps(acc[2][p], acc[3][p]);
+            let t2 = _mm256_unpackhi_ps(acc[0][p], acc[1][p]);
+            let t3 = _mm256_unpackhi_ps(acc[2][p], acc[3][p]);
+            let l0 = _mm256_shuffle_ps::<0x44>(t0, t1);
+            let l1 = _mm256_shuffle_ps::<0xEE>(t0, t1);
+            let l2 = _mm256_shuffle_ps::<0x44>(t2, t3);
+            let l3 = _mm256_shuffle_ps::<0xEE>(t2, t3);
+            *sum = _mm256_add_ps(_mm256_add_ps(_mm256_add_ps(l0, l1), l2), l3);
+        }
+        for jj in chunks * 4..k {
+            let bj: [f32; 4] =
+                core::array::from_fn(|c| if c < NC { *b.add(c * k + jj) } else { 0.0 });
+            let vb = _mm256_broadcast_ps(&_mm_loadu_ps(bj.as_ptr()));
+            for (p, sum) in sums.iter_mut().enumerate() {
+                let va = _mm256_set_m128(
+                    _mm_set1_ps(*a.add((2 * p + 1) * k + jj)),
+                    _mm_set1_ps(*a.add(2 * p * k + jj)),
+                );
+                *sum = _mm256_add_ps(*sum, _mm256_mul_ps(va, vb));
+            }
+        }
+        for (p, &sum) in sums.iter().enumerate() {
+            let halves = [_mm256_castps256_ps128(sum), _mm256_extractf128_ps::<1>(sum)];
+            for (h, half) in halves.into_iter().enumerate() {
+                let op = out.add((2 * p + h) * n);
+                if NC == 4 {
+                    _mm_storeu_ps(op, half);
+                } else {
+                    let mut lanes = [0.0f32; 4];
+                    _mm_storeu_ps(lanes.as_mut_ptr(), half);
+                    core::ptr::copy_nonoverlapping(lanes.as_ptr(), op, NC);
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -422,12 +422,16 @@ impl Mlp {
             block
                 .act
                 .forward_slice(lw.pre_act.as_slice(), lw.output.as_mut_slice());
-            // Inverted dropout on hidden activations only. Selects, not a
-            // branch: a dropped unit is exactly +0.0 (never `o · 0`, which
-            // keeps the sign of a negative ELU output).
+            // Inverted dropout on hidden activations only. A unit is kept
+            // when `rng.next_f32() < keep`, decided here as the equivalent
+            // integer compare against the raw draw (see `keep_threshold`),
+            // and written through a bit mask: a dropped unit is exactly
+            // +0.0 (never `o · 0`, which keeps the sign of a negative ELU
+            // output).
             if dropout > 0.0 && li + 1 < depth {
                 let keep = 1.0 - dropout;
                 let scale = 1.0 / keep;
+                let threshold = keep_threshold(keep);
                 lw.mask.reshape_scratch(lw.output.rows(), lw.output.cols());
                 for (m, o) in lw
                     .mask
@@ -435,9 +439,9 @@ impl Mlp {
                     .iter_mut()
                     .zip(lw.output.as_mut_slice())
                 {
-                    let kept = rng.next_f32() < keep;
-                    *m = if kept { scale } else { 0.0 };
-                    *o = if kept { *o * scale } else { 0.0 };
+                    let bits = 0u32.wrapping_sub(u32::from(rng.next_u64() >> 11 < threshold));
+                    *m = f32::from_bits(scale.to_bits() & bits);
+                    *o = f32::from_bits((*o * scale).to_bits() & bits);
                 }
             }
         }
@@ -589,6 +593,25 @@ impl Mlp {
         let _ = self.backward_in(&mut ws);
         ws.layers.iter().map(|lw| lw.d_w.clone()).collect()
     }
+}
+
+/// The smallest 53-bit draw `t` whose [`SplitMix64::next_f32`] image
+/// (`(t as f64 · 2⁻⁵³) as f32`) is at least `keep`, or 2⁵³ when none is.
+/// That image is monotone in `t`, so `next_f32() < keep` holds exactly when
+/// `next_u64() >> 11 < keep_threshold(keep)`: the same decision on the same
+/// draw, without the two float conversions.
+fn keep_threshold(keep: f32) -> u64 {
+    let unit = |t: u64| (t as f64 * (1.0 / (1u64 << 53) as f64)) as f32;
+    let (mut lo, mut hi) = (0u64, 1u64 << 53);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if unit(mid) >= keep {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
 }
 
 #[cfg(test)]
@@ -752,6 +775,26 @@ mod tests {
         let cfg = MlpConfig::new(3, vec![2]);
         let mlp = Mlp::new(&cfg);
         let _ = mlp.predict(&Matrix::zeros(1, 2));
+    }
+
+    #[test]
+    fn keep_threshold_decides_like_the_float_draw() {
+        const UNIT: f64 = 1.0 / (1u64 << 53) as f64;
+        for keep in [0.74f32, 0.5, 0.9, 1.0 - f32::EPSILON, 1.0] {
+            let t = keep_threshold(keep);
+            let float_keeps = |u: u64| ((u as f64 * UNIT) as f32) < keep;
+            // Every 53-bit draw within 2²⁰ of the threshold.
+            let lo = t.saturating_sub(1 << 20);
+            let hi = (t + (1 << 20)).min(1 << 53);
+            for u in lo..hi {
+                assert_eq!(u < t, float_keeps(u), "keep {keep}, draw {u}");
+            }
+            // And the generator's own stream, through both decisions.
+            let (mut by_float, mut by_int) = (SplitMix64::new(11), SplitMix64::new(11));
+            for _ in 0..1_000_000 {
+                assert_eq!(by_float.next_f32() < keep, by_int.next_u64() >> 11 < t);
+            }
+        }
     }
 }
 

@@ -237,3 +237,70 @@ fn swf_traces_are_accepted_everywhere() {
         String::from_utf8_lossy(&out.stderr)
     );
 }
+
+#[test]
+fn sharded_compacting_daemon_counts_compactions_in_its_metrics() {
+    let trace = tmp("compact-trace.csv");
+    let events = tmp("compact-events.ndjson");
+    let state = tmp("compact-state");
+    let _ = std::fs::remove_dir_all(&state);
+    for args in [
+        &["simulate", "--jobs", "80", "--seed", "11", "--out", &trace][..],
+        &[
+            "events",
+            "--trace",
+            &trace,
+            "--predict-every",
+            "4",
+            "--out",
+            &events,
+        ],
+    ] {
+        let out = trout(args);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    let out = Command::new(env!("CARGO_BIN_EXE_trout"))
+        .args([
+            "serve",
+            "--bootstrap",
+            "300",
+            "--seed",
+            "7",
+            "--shards",
+            "2",
+            "--stdin",
+            "--state-dir",
+            &state,
+            "--snapshot-every",
+            "8",
+            "--compact",
+        ])
+        .stdin(std::fs::File::open(&events).unwrap())
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let metrics = stdout
+        .lines()
+        .find(|l| l.contains("\"event\":\"metrics\""))
+        .expect("a metrics response");
+    let count: u64 = metrics
+        .split("\"compactions\":")
+        .nth(1)
+        .expect("the merged counters name compactions")
+        .split(|c: char| !c.is_ascii_digit())
+        .next()
+        .unwrap()
+        .parse()
+        .unwrap();
+    assert!(count >= 1, "{metrics}");
+    let _ = std::fs::remove_dir_all(&state);
+}

@@ -630,6 +630,7 @@ impl ShardSet {
             m.journal_appends += mm.journal_appends_total.get();
             m.journal_fsyncs += mm.journal_fsyncs_total.get();
             m.snapshots += mm.snapshots_total.get();
+            m.compactions += mm.compactions_total.get();
             m.recovery_replayed += mm.recovery_replayed_events.get();
             // Every shard streams to the same followers: the count and the
             // lags are the slowest shard's, the traffic sums.
@@ -687,6 +688,7 @@ struct MergedMetrics {
     journal_appends: u64,
     journal_fsyncs: u64,
     snapshots: u64,
+    compactions: u64,
     recovery_replayed: u64,
     sessions: u64,
     followers: u64,
@@ -759,6 +761,7 @@ impl MergedMetrics {
                         Json::Int(self.journal_fsyncs as i128),
                     ),
                     ("snapshots".into(), Json::Int(self.snapshots as i128)),
+                    ("compactions".into(), Json::Int(self.compactions as i128)),
                     (
                         "recovery_replayed_events".into(),
                         Json::Int(self.recovery_replayed as i128),
